@@ -57,6 +57,5 @@ from .statevec import (
     marginal_distribution,
     marginal_probability,
     postselect,
-    sample_measurement,
     uniform_superposition,
 )

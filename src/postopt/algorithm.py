@@ -12,6 +12,17 @@ strictly below c_tol.  `chain_decomposition` evaluates p(A & B) three ways
 compares the two measurement orderings at the distribution level, and
 `run_repeat_until_success` is the sampled protocol.
 
+Every quantity is read off one array, the encoded state's Born grid
+P[k, a] = |amp(k, a)|^2: p_first is the ancilla-0 column sum, the
+post-selected data distribution is that column renormalized, and the two
+register marginals are the row and column sums.  The measurement functions
+in `statevec` (`postselect`, `marginal_*`, `joint_distribution`) compute the
+same quantities the long way; the tests hold this module to them.
+
+Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), a
+published, seedable algorithm, so sampled outcomes are reproducible for a
+fixed seed.
+
 Tolerance ladder, used package-wide: 1e-12 for algebraic identities, 1e-9
 for bound checks (float error accumulated over N terms), 5-sigma bands for
 sampled statistics.
@@ -27,19 +38,7 @@ import numpy as np
 from .costfn import CostInstance, count_below
 from .encoding import AmplitudeEncoder, JunkPolicy, encode
 from .errors import ConfigurationError, DomainError
-from .statevec import (
-    ANCILLA,
-    DATA,
-    EPS_PROB,
-    OutcomeDistribution,
-    RegisterLayout,
-    StateVector,
-    joint_distribution,
-    marginal_distribution,
-    marginal_probability,
-    postselect,
-    uniform_superposition,
-)
+from .statevec import EPS_PROB, RegisterLayout, StateVector, uniform_superposition
 
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
@@ -58,6 +57,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.c_tol):
+            raise ConfigurationError(f"c_tol must be finite, got {self.c_tol}")
         if self.max_preparations < 1:
             raise ConfigurationError("max_preparations must be >= 1")
         if self.n_anc < 1:
@@ -119,21 +120,25 @@ def encoded_state(instance: CostInstance, config: RunConfig) -> StateVector:
     return encode(uniform_superposition(layout), instance, config.encoder, config.junk)
 
 
+def _born_grid(instance: CostInstance, config: RunConfig) -> np.ndarray:
+    """Born probabilities P[k, a] = |amp(k, a)|^2 of the encoded state."""
+    return np.abs(encoded_state(instance, config).grid()) ** 2
+
+
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     """Success probabilities of one attempt, from the exact amplitudes."""
-    state = encoded_state(instance, config)
+    probs = _born_grid(instance, config)
     n = instance.size
     m = count_below(instance, config.c_tol)
     low = instance.costs < config.c_tol
 
-    p_first = marginal_probability(state, ANCILLA, 0)
+    p_first = float(probs[:, 0].sum())
     if p_first <= EPS_PROB:
-        # acceptance never happens; the conditional is undefined
-        products = np.abs(state.grid()[:, 0]) ** 2
-        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, products)
+        # acceptance never happens; the conditional is undefined.  Copy the
+        # column: a view would keep the whole grid alive with the result.
+        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, probs[:, 0].copy())
 
-    _, conditional = postselect(state, ANCILLA, 0)
-    cond_data = marginal_distribution(conditional, DATA).probs
+    cond_data = probs[:, 0] / p_first
     p_cond = float(cond_data[low].sum())
     products = p_first * cond_data
     return ExactAnalysis(p_first, p_cond, p_first * p_cond, m, n, m / n, products)
@@ -153,29 +158,23 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     state, p(A & B) = (M/N) * p(B|A) <= M/N, which is the entire reason the
     scheme cannot beat random search.
     """
-    state = encoded_state(instance, config)
-    layout = state.layout
+    probs = _born_grid(instance, config)
     low = instance.costs < config.c_tol
-    low_composites = (np.nonzero(low)[0] << layout.n_anc) | 0
+    direct = float(probs[low, 0].sum())
 
-    joint = joint_distribution(state)
-    direct = float(joint.probs[low_composites].sum())
-
-    p_first = marginal_probability(state, ANCILLA, 0)
+    p_first = float(probs[:, 0].sum())
     via_ancilla = None
     if p_first > EPS_PROB:
-        _, conditional = postselect(state, ANCILLA, 0)
-        p_a_given_b = float(marginal_distribution(conditional, DATA).probs[low].sum())
+        p_a_given_b = float((probs[:, 0] / p_first)[low].sum())
         via_ancilla = p_a_given_b * p_first
 
     via_cost = None
     p_b_given_a = None
-    if count_below(instance, config.c_tol) >= 1:
-        data_marg = marginal_distribution(state, DATA).probs
+    if low.any():
+        data_marg = probs.sum(1)
         p_a = float(data_marg[low].sum())
-        anc0 = np.abs(state.grid()[:, 0]) ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
-            cond_b_given_k = np.where(data_marg > EPS_PROB, anc0 / data_marg, 0.0)
+            cond_b_given_k = np.where(data_marg > EPS_PROB, probs[:, 0] / data_marg, 0.0)
         p_b_given_a = float((data_marg[low] * cond_b_given_k[low]).sum()) / p_a
         via_cost = p_b_given_a * p_a
 
@@ -187,23 +186,16 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
 
     Builds the distribution over (data, ancilla) outcomes once from the joint
     Born rule and once as ancilla-marginal times post-selected data
-    conditional, summed over ancilla outcomes.  The law of total probability
-    says the distance is zero; the contract allows 1e-10 of float slack.
+    conditional, column by column over ancilla outcomes.  The law of total
+    probability says the distance is zero; the contract allows 1e-10 of
+    float slack.
     """
-    state = encoded_state(instance, config)
-    layout = state.layout
-    joint = joint_distribution(state)
-
-    rebuilt = np.zeros(layout.total_dim)
-    data_indices = np.arange(layout.data_dim)
-    for a in range(layout.anc_dim):
-        p_a = marginal_probability(state, ANCILLA, a)
-        if p_a <= EPS_PROB:
-            continue
-        _, conditional = postselect(state, ANCILLA, a)
-        cond_data = marginal_distribution(conditional, DATA).probs
-        rebuilt[(data_indices << layout.n_anc) | a] = p_a * cond_data
-    return joint.total_variation(OutcomeDistribution(rebuilt))
+    probs = _born_grid(instance, config)
+    anc = probs.sum(0)
+    live = anc > EPS_PROB
+    rebuilt = np.zeros_like(probs)
+    rebuilt[:, live] = anc[live] * (probs[:, live] / anc[live])
+    return 0.5 * float(np.abs(probs - rebuilt).sum())
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -226,22 +218,19 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     repeat-until-success episodes); `first_hit_preparation` records when the
     first episode would have stopped.  Deterministic for a fixed seed.
     """
-    state = encoded_state(instance, config)
-    layout = state.layout
+    probs = _born_grid(instance, config)
+    data_dim, anc_dim = probs.shape
     rng = np.random.default_rng(config.seed)
     budget = config.max_preparations
 
-    anc_probs = marginal_distribution(state, ANCILLA).probs
-    anc_draws = rng.choice(layout.anc_dim, size=budget, p=anc_probs / anc_probs.sum())
+    anc_probs = probs.sum(0)
+    anc_draws = rng.choice(anc_dim, size=budget, p=anc_probs / anc_probs.sum())
     accepted_at = np.nonzero(anc_draws == 0)[0]
 
     hits = np.zeros(0, dtype=bool)
     if accepted_at.size:
-        _, conditional = postselect(state, ANCILLA, 0)
-        cond_data = marginal_distribution(conditional, DATA).probs
-        data_draws = rng.choice(
-            layout.data_dim, size=accepted_at.size, p=cond_data / cond_data.sum()
-        )
+        cond_data = probs[:, 0] / probs[:, 0].sum()
+        data_draws = rng.choice(data_dim, size=accepted_at.size, p=cond_data)
         hits = instance.costs[data_draws] < config.c_tol
 
     n_hits = int(hits.sum())

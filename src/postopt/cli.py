@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -47,7 +48,7 @@ from .baselines import (
 )
 from .costfn import CostInstance, count_below, generate, load_instance, min_cost, save_instance
 from .encoding import AmplitudeEncoder, JunkPolicy
-from .errors import PostoptError
+from .errors import ConfigurationError, PostoptError
 from .statevec import NORM_ATOL
 
 SWEEP_ENCODERS = ("identity", "oracle", "cospow:0.5", "cospow:1", "cospow:2", "cospow:8", "linear")
@@ -274,6 +275,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.sweep < 1:
             print("verify: --sweep must be >= 1", file=sys.stderr)
             return 2
+        if not 1 <= args.n <= TABLE_N_MAX:
+            print(f"verify: --n must lie in [1, {TABLE_N_MAX}]", file=sys.stderr)
+            return 2
         swept = sweep_configurations(args.sweep, args.seed, args.n)
         records = [check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc in swept]
     else:
@@ -340,7 +344,13 @@ def _compare_one(strategy: str, instance: CostInstance, args: argparse.Namespace
 
     if strategy.startswith("grover"):
         _, _, arg = strategy.partition(":")
-        t = optimal_iterations(instance.n_data, m) if arg in ("", "auto") else int(arg)
+        if arg in ("", "auto"):
+            t = optimal_iterations(instance.n_data, m)
+        else:
+            try:
+                t = int(arg)
+            except ValueError as exc:
+                raise ConfigurationError(f"cannot parse strategy {strategy!r}") from exc
         record["iterations"] = t
         record["success_probability"] = grover_simulate(instance, args.c_tol, t)
         record["closed_form"] = amplitude_amplification_success(instance.n_data, m, t)
@@ -387,6 +397,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 2
     if args.repeats < 1 or args.budget < 1:
         print("compare: --repeats and --budget must be >= 1", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.c_tol):
+        print(f"compare: --c-tol must be finite, got {args.c_tol}", file=sys.stderr)
         return 2
     instance = load_instance(args.instance)
     if count_below(instance, args.c_tol) < 1:
@@ -436,11 +449,13 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     kind = args.kind
+    n_data = args.n
     if kind == "explicit":
         if not args.costs:
             print("generate: --costs is required for kind=explicit", file=sys.stderr)
             return 2
         params = {"costs": _parse_floats(args.costs, "--costs")}
+        n_data = len(params["costs"]).bit_length() - 1
     elif kind == "uniform_random":
         if args.n is None:
             print("generate: --n is required for kind=uniform_random", file=sys.stderr)
@@ -451,17 +466,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
             print("generate: --weights is required for kind=number_partition", file=sys.stderr)
             return 2
         params = {"weights": _parse_floats(args.weights, "--weights")}
+        n_data = len(params["weights"])
     else:
         if args.n is None:
             print("generate: --n is required for kind=hamming_structured", file=sys.stderr)
             return 2
         params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
 
-    instance = generate(kind, params, args.seed)
-    if instance.n_data > TABLE_N_MAX:
-        print(f"generate: n_data={instance.n_data} exceeds the table cap of {TABLE_N_MAX}",
+    if n_data > TABLE_N_MAX:
+        print(f"generate: n_data={n_data} exceeds the table cap of {TABLE_N_MAX}",
               file=sys.stderr)
         return 2
+    instance = generate(kind, params, args.seed)
     save_instance(instance, args.out)
     k_min, c_min = min_cost(instance)
     print(f"wrote {args.out}: kind={kind} n_data={instance.n_data} N={instance.size} "

@@ -173,7 +173,7 @@ def load_instance(path: str | Path) -> CostInstance:
                 np.asarray(payload["costs"], dtype=float),
                 dict(payload.get("provenance", {})),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
     lines = stripped.splitlines()
     if not lines or not lines[0].startswith("n_data="):

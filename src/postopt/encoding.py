@@ -21,6 +21,7 @@ instances.  None of the verified bounds depend on the family choice.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,14 @@ class AmplitudeEncoder:
 
     @classmethod
     def oracle_threshold(cls, tau: float) -> "AmplitudeEncoder":
+        if not math.isfinite(tau):
+            raise ConfigurationError(f"oracle threshold must be finite, got {tau}")
         return cls("oracle_threshold", tau=float(tau))
 
     @classmethod
     def cosine_power(cls, b: float) -> "AmplitudeEncoder":
-        if b <= 0:
-            raise ConfigurationError(f"cosine_power exponent must be positive, got {b}")
+        if not (math.isfinite(b) and b > 0):
+            raise ConfigurationError(f"cosine_power exponent must be positive and finite, got {b}")
         return cls("cosine_power", b=float(b))
 
     @classmethod
@@ -71,10 +74,12 @@ class AmplitudeEncoder:
             return cls.identity()
         if name == "linear" and not arg:
             return cls.linear()
-        if name == "oracle" and arg:
-            return cls.oracle_threshold(float(arg))
-        if name == "cospow" and arg:
-            return cls.cosine_power(float(arg))
+        if name in ("oracle", "cospow") and arg:
+            try:
+                value = float(arg)
+            except ValueError as exc:
+                raise ConfigurationError(f"cannot parse encoder spec {spec!r}") from exc
+            return cls.oracle_threshold(value) if name == "oracle" else cls.cosine_power(value)
         raise ConfigurationError(f"cannot parse encoder spec {spec!r}")
 
     def spec(self) -> str:

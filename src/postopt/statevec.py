@@ -1,4 +1,4 @@
-"""Dense pure-state simulator for a data register plus an ancilla register.
+"""Dense two-register states and the reference measurement primitives.
 
 Basis-state indexing packs both registers into one integer::
 
@@ -7,13 +7,15 @@ Basis-state indexing packs both registers into one integer::
 so ``amplitudes.reshape(2**n_data, 2**n_anc)[k, a]`` is the amplitude of
 |k, a>.  Post-selection on an ancilla outcome is then a strided slice.
 
+The production path (`algorithm`) reads every probability straight off the
+Born grid |grid()|^2.  The measurement functions here -- `marginal_*`,
+`postselect`, `joint_distribution` -- take the long way through explicit
+conditional states and outcome distributions; they are the independent
+reference that the tests compare `algorithm` against.
+
 All operations are pure: they never mutate their inputs and return fresh
 values.  Amplitude arrays are marked read-only so states can be shared
 across concurrent tasks.
-
-Sampling uses numpy's PCG64 generator (``np.random.default_rng``), a
-published, seedable algorithm, so sampled outcomes are reproducible for a
-fixed seed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ DEFAULT_QUBIT_CAP = 24  # 2**24 complex amplitudes ~ 256 MB, the desk-scale limi
 
 DATA = "data"
 ANCILLA = "ancilla"
-BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,7 @@ class RegisterLayout:
             return self.data_dim
         if register == ANCILLA:
             return self.anc_dim
-        if register == BOTH:
-            return self.total_dim
         raise DomainError(f"unknown register {register!r}")
-
-    def composite_index(self, data_index: int, anc_index: int) -> int:
-        return (data_index << self.n_anc) | anc_index
-
-    def split_index(self, composite: int) -> tuple[int, int]:
-        return composite >> self.n_anc, composite & (self.anc_dim - 1)
 
 
 @dataclass(frozen=True)
@@ -131,9 +124,6 @@ class OutcomeDistribution:
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    def items(self):
-        return enumerate(self.probs.tolist())
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         """Half the L1 distance; 0 means statistically indistinguishable."""
@@ -208,27 +198,3 @@ def joint_distribution(state: StateVector) -> OutcomeDistribution:
     """Born-rule distribution over composite indices (data << n_anc) | anc."""
     return OutcomeDistribution(np.abs(state.amplitudes) ** 2)
 
-
-def sample_measurement(
-    state: StateVector,
-    register: str,
-    rng: int | np.random.Generator,
-    size: int | None = None,
-):
-    """Draw measurement outcomes from the exact distribution of `register`.
-
-    `register` is "data", "ancilla", or "both" (composite index).  `rng` is a
-    seed or an existing ``np.random.Generator``; a fixed seed gives identical
-    outcomes on every run.  With `size=None` a single int is returned,
-    otherwise an int array of that length.
-    """
-    gen = np.random.default_rng(rng)
-    if register == BOTH:
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = marginal_distribution(state, register).probs
-    probs = probs / probs.sum()  # absorb float rounding so choice() accepts it
-    drawn = gen.choice(len(probs), size=size, p=probs)
-    if size is None:
-        return int(drawn)
-    return drawn.astype(int)

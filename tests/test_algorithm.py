@@ -16,6 +16,16 @@ from postopt.algorithm import (
 from postopt.costfn import count_below, generate
 from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
 from postopt.errors import ConfigurationError, DomainError
+from postopt.statevec import (
+    ANCILLA,
+    DATA,
+    EPS_PROB,
+    OutcomeDistribution,
+    joint_distribution,
+    marginal_distribution,
+    marginal_probability,
+    postselect,
+)
 
 DEMO = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
 
@@ -209,6 +219,71 @@ def test_sequential_vs_joint_random_sweep():
 
 
 # ---------------------------------------------------------------------------
+# production vs the statevec reference primitives
+
+def reference_quantities(inst, config):
+    """Every exact quantity recomputed through explicit measurements on the state."""
+    state = encoded_state(inst, config)
+    layout = state.layout
+    low = inst.costs < config.c_tol
+    joint = joint_distribution(state)
+    ref = {"p_first": marginal_probability(state, ANCILLA, 0),
+           "direct": float(joint.probs[np.nonzero(low)[0] << layout.n_anc].sum()),
+           "p_cond": None, "via_ancilla": None, "via_cost": None, "p_b_given_a": None,
+           "products": joint.probs[np.arange(layout.data_dim) << layout.n_anc]}
+    if ref["p_first"] > EPS_PROB:
+        _, cond = postselect(state, ANCILLA, 0)
+        cond_data = marginal_distribution(cond, DATA).probs
+        ref["p_cond"] = float(cond_data[low].sum())
+        ref["products"] = ref["p_first"] * cond_data
+        ref["via_ancilla"] = ref["p_cond"] * ref["p_first"]
+    if low.any():
+        # p(A) p(B|A) = sum over low k of p(k) p(B | k), one post-selection per k
+        p_a, terms = 0.0, []
+        for k in np.nonzero(low)[0]:
+            p_k = marginal_probability(state, DATA, int(k))
+            p_a += p_k
+            if p_k > EPS_PROB:
+                _, cond_k = postselect(state, DATA, int(k))
+                terms.append(p_k * marginal_probability(cond_k, ANCILLA, 0))
+        ref["via_cost"] = float(sum(terms))
+        ref["p_b_given_a"] = ref["via_cost"] / p_a
+
+    rebuilt = np.zeros(layout.total_dim)
+    for a in range(layout.anc_dim):
+        p_a = marginal_probability(state, ANCILLA, a)
+        if p_a > EPS_PROB:
+            _, cond = postselect(state, ANCILLA, a)
+            rebuilt[(np.arange(layout.data_dim) << layout.n_anc) | a] = (
+                p_a * marginal_distribution(cond, DATA).probs)
+    ref["tv"] = joint.total_variation(OutcomeDistribution(rebuilt))
+    return ref
+
+
+def test_born_grid_path_matches_statevec_reference():
+    cases = random_configurations(40, seed=313)
+    cases.append((demo(), RunConfig(c_tol=0.5, encoder=IDENTITY, n_anc=2)))  # M = 0
+    cases.append((generate("explicit", {"costs": [2.0, 2.0]}),
+                  RunConfig(c_tol=3.0, encoder=COSPOW1)))  # p_first = 0
+    for inst, config in cases:
+        assert inst.n_data + config.n_anc <= 12
+        ref = reference_quantities(inst, config)
+        ana = exact_analysis(inst, config)
+        chain = chain_decomposition(inst, config)
+
+        assert abs(ana.p_first - ref["p_first"]) <= 1e-12
+        assert np.allclose(ana.per_state_products, ref["products"], rtol=0, atol=1e-12)
+        assert abs(chain.direct - ref["direct"]) <= 1e-12
+        for got, want in ((ana.p_cond, ref["p_cond"]), (chain.via_ancilla, ref["via_ancilla"]),
+                          (chain.via_cost, ref["via_cost"]),
+                          (chain.p_b_given_a, ref["p_b_given_a"])):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= 1e-12
+        assert abs(sequential_vs_joint_check(inst, config) - ref["tv"]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # sampled protocol
 
 def test_rtus_oracle_every_accept_is_a_hit():
@@ -263,6 +338,9 @@ def test_run_config_validation():
         RunConfig(c_tol=1.0, encoder=IDENTITY, max_preparations=0)
     with pytest.raises(ConfigurationError):
         RunConfig(c_tol=1.0, encoder=IDENTITY, n_anc=0)
+    for c_tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            RunConfig(c_tol=c_tol, encoder=IDENTITY)
 
 
 def test_wilson_interval_sane():

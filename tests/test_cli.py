@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from postopt.cli import check_configuration, main
+from postopt.cli import TABLE_N_MAX, check_configuration, main
 from postopt.costfn import generate, hamming_distances, load_instance, save_instance
 
 
@@ -239,3 +239,40 @@ def test_verify_malformed_json_instance(tmp_path):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+MALFORMED_ARGV = {
+    "encoder_not_a_number": ["verify", "{demo}", "--c-tol", "3", "--encoder", "cospow:abc"],
+    "encoder_nan_exponent": ["verify", "{demo}", "--c-tol", "3", "--encoder", "cospow:nan"],
+    "encoder_inf_exponent": ["verify", "{demo}", "--c-tol", "3", "--encoder", "cospow:inf"],
+    "encoder_nan_threshold": ["verify", "{demo}", "--c-tol", "3", "--encoder", "oracle:nan"],
+    "grover_not_a_number": ["compare", "{demo}", "--c-tol", "3", "--strategy", "grover:x"],
+    "verify_nan_c_tol": ["verify", "{demo}", "--c-tol", "nan"],
+    "compare_inf_c_tol": ["compare", "{demo}", "--c-tol", "inf", "--strategy", "random"],
+    "sweep_n_zero": ["verify", "--sweep", "2", "--n", "0"],
+    "sweep_n_over_cap": ["verify", "--sweep", "2", "--n", str(TABLE_N_MAX + 1)],
+    "json_cost_not_a_number": ["verify", "{bad_costs}", "--c-tol", "1"],
+    "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
+    "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
+                          "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
+def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
+    # oversized requests must be refused before any table or sweep is built
+    import postopt.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the arguments were validated")
+
+    monkeypatch.setattr(cli, "generate", forbidden)
+    monkeypatch.setattr(cli, "sweep_configurations", forbidden)
+    bad_costs = tmp_path / "bad_costs.json"
+    bad_costs.write_text('{"n_data": 1, "costs": ["a", 1]}')
+    bad_n_data = tmp_path / "bad_n_data.json"
+    bad_n_data.write_text('{"n_data": "x", "costs": [0, 1]}')
+    paths = {"demo": write_demo(tmp_path), "bad_costs": bad_costs,
+             "bad_n_data": bad_n_data, "out": tmp_path / "out.txt"}
+    argv = [arg.format(**paths) for arg in MALFORMED_ARGV[case]]
+    assert main(argv) == 2

@@ -4,7 +4,6 @@ import pytest
 from postopt.errors import CapacityError, DomainError, ImpossibleOutcomeError
 from postopt.statevec import (
     ANCILLA,
-    BOTH,
     DATA,
     OutcomeDistribution,
     RegisterLayout,
@@ -13,7 +12,6 @@ from postopt.statevec import (
     marginal_distribution,
     marginal_probability,
     postselect,
-    sample_measurement,
     uniform_superposition,
 )
 
@@ -39,12 +37,9 @@ def test_layout_validation():
 
 
 def test_index_convention():
-    layout = RegisterLayout(3, 2)
-    assert layout.composite_index(5, 3) == (5 << 2) | 3
-    assert layout.split_index(23) == (5, 3)
-    state = uniform_superposition(layout)
+    state = random_state(RegisterLayout(3, 2), np.random.default_rng(1))
     # grid[k, a] must be the amplitude of composite (k << n_anc) | a
-    assert state.grid()[5, 3] == state.amplitudes[23]
+    assert state.grid()[5, 3] == state.amplitudes[(5 << 2) | 3]
 
 
 def test_state_rejects_bad_norm_and_shape():
@@ -169,35 +164,6 @@ def test_joint_normalized_random():
 
 
 # ---------------------------------------------------------------------------
-# sampling
-
-def test_sample_deterministic_distribution():
-    grid = np.zeros((8, 2), dtype=complex)
-    grid[5, 0] = 1.0
-    state = StateVector(RegisterLayout(3, 1), grid.reshape(-1))
-    for seed in (0, 1, 42):
-        assert sample_measurement(state, DATA, seed) == 5
-
-
-def test_sample_frequencies_within_5_sigma():
-    state = uniform_superposition(RegisterLayout(2, 1))
-    draws = sample_measurement(state, DATA, 123, size=100_000)
-    sigma = np.sqrt(0.25 * 0.75 / 100_000)
-    for outcome in range(4):
-        freq = np.mean(draws == outcome)
-        assert abs(freq - 0.25) < 5 * sigma
-
-
-def test_sample_reproducible():
-    rng = np.random.default_rng(3)
-    state = random_state(RegisterLayout(4, 2), rng)
-    assert sample_measurement(state, BOTH, 99) == sample_measurement(state, BOTH, 99)
-    a = sample_measurement(state, ANCILLA, 5, size=64)
-    b = sample_measurement(state, ANCILLA, 5, size=64)
-    assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
 # invariants on random states
 
 @pytest.mark.parametrize("n_data,n_anc", [(1, 1), (2, 1), (3, 2), (4, 3), (6, 2)])
@@ -224,7 +190,7 @@ def test_chain_consistency(n_data, n_anc):
         _, cond = postselect(state, ANCILLA, a)
         for d in range(layout.data_dim):
             expected = p_a * marginal_probability(cond, DATA, d)
-            assert abs(joint[layout.composite_index(d, a)] - expected) < 1e-10
+            assert abs(joint[(d << n_anc) | a] - expected) < 1e-10
 
 
 @pytest.mark.parametrize("n_data,n_anc", [(2, 1), (3, 2), (4, 2)])
@@ -239,7 +205,7 @@ def test_sequential_equals_joint_distribution_level(n_data, n_anc):
             continue
         _, cond = postselect(state, ANCILLA, a)
         for d in range(layout.data_dim):
-            rebuilt[layout.composite_index(d, a)] = p_a * marginal_probability(cond, DATA, d)
+            rebuilt[(d << n_anc) | a] = p_a * marginal_probability(cond, DATA, d)
     tv = joint_distribution(state).total_variation(OutcomeDistribution(rebuilt))
     assert tv <= 1e-10
 
