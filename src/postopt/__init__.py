@@ -19,7 +19,6 @@ from .algorithm import (
     chain_decomposition,
     encoded_state,
     exact_analysis,
-    per_state_product,
     run_repeat_until_success,
     sequential_vs_joint_check,
 )
@@ -34,7 +33,6 @@ from .baselines import (
 )
 from .costfn import (
     CostInstance,
-    cost_of,
     count_below,
     generate,
     load_instance,

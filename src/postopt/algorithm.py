@@ -37,7 +37,7 @@ import numpy as np
 
 from .costfn import CostInstance, count_below
 from .encoding import AmplitudeEncoder, JunkPolicy, encode
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .statevec import EPS_PROB, RegisterLayout, StateVector, uniform_superposition
 
 ATOL_IDENTITY = 1e-12
@@ -142,13 +142,6 @@ def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     p_cond = float(cond_data[low].sum())
     products = p_first * cond_data
     return ExactAnalysis(p_first, p_cond, p_first * p_cond, m, n, m / n, products)
-
-
-def per_state_product(instance: CostInstance, config: RunConfig, k: int) -> float:
-    """p_first * p(data = k | ancilla 0...0) for a single state; at most 1/N."""
-    if not 0 <= k < instance.size:
-        raise DomainError(f"index {k} out of range for {instance.size} states")
-    return float(exact_analysis(instance, config).per_state_products[k])
 
 
 def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecomposition:

@@ -21,9 +21,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import platform
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -80,35 +80,35 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of basins (hamming_structured)")
     gen.add_argument("-o", "--out", required=True, help="output path (.json for structured form)")
 
-    ver = sub.add_parser("verify", help="check the M/N and 1/N bounds and the measurement identities")
-    ver.add_argument("instance", nargs="?", help="instance file to verify")
-    ver.add_argument("--sweep", type=int, metavar="COUNT",
-                     help="verify COUNT randomized configurations instead of a file")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--junk", default="concentrated", choices=["concentrated", "spread"])
+    shared.add_argument("--n-anc", type=int, default=1, help="ancilla qubit count")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("-o", "--out", help="report path")
+    shared.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
+
+    ver = sub.add_parser("verify", parents=[shared],
+                         help="check the M/N and 1/N bounds and the measurement identities")
+    source = ver.add_mutually_exclusive_group(required=True)
+    source.add_argument("instance", nargs="?", help="instance file to verify")
+    source.add_argument("--sweep", type=int, metavar="COUNT",
+                        help="verify COUNT randomized configurations instead of a file")
     ver.add_argument("--n", type=int, help="cap on swept data qubit count (default 12)", default=12)
     ver.add_argument("--encoder", default="identity",
                      help="identity | oracle:<tau> | cospow:<b> | linear")
-    ver.add_argument("--junk", default="concentrated", choices=["concentrated", "spread"])
-    ver.add_argument("--n-anc", type=int, default=1, help="ancilla qubit count")
     ver.add_argument("--c-tol", type=float, help="success threshold (strict); required with a file")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("-o", "--out", help="report path")
-    ver.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
 
-    cmp_ = sub.add_parser("compare", help="run strategies side by side on one instance")
+    cmp_ = sub.add_parser("compare", parents=[shared],
+                          help="run strategies side by side on one instance")
     cmp_.add_argument("instance", help="instance file")
     cmp_.add_argument("--c-tol", type=float, required=True)
     cmp_.add_argument("--strategy", required=True,
                       help="comma list of random | hillclimb | grover:<t|auto> | postselect")
     cmp_.add_argument("--encoder", default="cospow:1", help="encoder for the postselect strategy")
-    cmp_.add_argument("--junk", default="concentrated", choices=["concentrated", "spread"])
-    cmp_.add_argument("--n-anc", type=int, default=1)
-    cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--repeats", type=int, default=32, help="independent runs per strategy")
     cmp_.add_argument("--budget", type=int, default=10_000,
                       help="per-run budget: draws (random), preparations (postselect), "
                            "cost evaluations, approximately (hillclimb)")
-    cmp_.add_argument("-o", "--out", help="report path")
-    cmp_.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
 
     return parser
 
@@ -155,6 +155,18 @@ def _fmt(x) -> str:
     if x is None:
         return "undef"
     return f"{x:.6g}"
+
+
+def _check_table_cap(n_data: int) -> None:
+    """Refuse a cost table past 2**TABLE_N_MAX entries before any state is built from it."""
+    if n_data > TABLE_N_MAX:
+        raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {TABLE_N_MAX}")
+
+
+def _run_config(args: argparse.Namespace, **extra) -> RunConfig:
+    """The RunConfig that the shared verify/compare flags describe."""
+    return RunConfig(c_tol=args.c_tol, encoder=AmplitudeEncoder.parse(args.encoder),
+                     junk=JunkPolicy(args.junk), n_anc=args.n_anc, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +279,19 @@ def _print_verify_table(records: list[dict]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if (args.instance is None) == (args.sweep is None):
-        print("verify: give exactly one of an instance file or --sweep COUNT", file=sys.stderr)
-        return 2
-
     if args.sweep is not None:
         if args.sweep < 1:
-            print("verify: --sweep must be >= 1", file=sys.stderr)
-            return 2
+            raise ConfigurationError("--sweep must be >= 1")
         if not 1 <= args.n <= TABLE_N_MAX:
-            print(f"verify: --n must lie in [1, {TABLE_N_MAX}]", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
         swept = sweep_configurations(args.sweep, args.seed, args.n)
         records = [check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc in swept]
     else:
         if args.c_tol is None:
-            print("verify: --c-tol is required when verifying an instance file", file=sys.stderr)
-            return 2
+            raise ConfigurationError("--c-tol is required when verifying an instance file")
+        config = _run_config(args)
         instance = load_instance(args.instance)
-        config = RunConfig(
-            c_tol=args.c_tol,
-            encoder=AmplitudeEncoder.parse(args.encoder),
-            junk=JunkPolicy(args.junk),
-            n_anc=args.n_anc,
-        )
+        _check_table_cap(instance.n_data)
         key = f"file:{args.instance}/{config.encoder.spec()}/{args.junk}/anc{args.n_anc}/ctol{args.c_tol:.6g}"
         desc = {"instance_kind": "file", "instance_seed": None,
                 "instance_params": json.dumps({"path": args.instance}), "n_data": instance.n_data}
@@ -315,26 +316,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-def _compare_one(strategy: str, instance: CostInstance, args: argparse.Namespace,
-                 seeds: list[int]) -> dict:
+def _parse_strategies(text: str) -> list[tuple[str, int | None]]:
+    """Split a --strategy list into (spec, Grover iteration count or None) pairs."""
+    parsed = []
+    for spec in filter(None, (s.strip() for s in text.split(","))):
+        name, _, arg = spec.partition(":")
+        if spec in ("random", "hillclimb", "postselect") or (name == "grover" and arg in ("", "auto")):
+            parsed.append((spec, None))
+        elif name == "grover" and arg.isdecimal():
+            parsed.append((spec, int(arg)))
+        else:
+            raise ConfigurationError(f"cannot parse strategy {spec!r}")
+    if not parsed:
+        raise ConfigurationError("empty strategy list")
+    return parsed
+
+
+def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
+                 config: RunConfig, seeds: list[int]) -> dict:
+    c_tol, budget = config.c_tol, config.max_preparations
+    m = count_below(instance, c_tol)
     record: dict = {
         "record": "compare",
         "strategy": strategy,
-        "c_tol": float(args.c_tol),
+        "c_tol": float(c_tol),
         "repeats": len(seeds),
-        "budget": args.budget,
+        "budget": budget,
         "seeds": json.dumps(seeds),
+        "n": instance.size,
+        "m": m,
     }
-    m = count_below(instance, args.c_tol)
-    n = instance.size
-    record["n"], record["m"] = n, m
 
     if strategy in ("random", "hillclimb"):
         if strategy == "random":
-            results = [random_search(instance, args.c_tol, s, max_trials=args.budget) for s in seeds]
+            results = [random_search(instance, c_tol, s, max_trials=budget) for s in seeds]
         else:
-            restarts = max(1, args.budget // (instance.n_data + 1))
-            results = [hill_climb(instance, args.c_tol, s, max_restarts=restarts) for s in seeds]
+            restarts = max(1, budget // (instance.n_data + 1))
+            results = [hill_climb(instance, c_tol, s, max_restarts=restarts) for s in seeds]
         hits = [r for r in results if r.hit]
         record["hit_rate"] = len(hits) / len(results)
         record["mean_trials_used"] = float(np.mean([r.trials_used for r in results]))
@@ -342,31 +360,7 @@ def _compare_one(strategy: str, instance: CostInstance, args: argparse.Namespace
         record["best_cost"] = float(min(r.best_cost for r in results))
         return record
 
-    if strategy.startswith("grover"):
-        _, _, arg = strategy.partition(":")
-        if arg in ("", "auto"):
-            t = optimal_iterations(instance.n_data, m)
-        else:
-            try:
-                t = int(arg)
-            except ValueError as exc:
-                raise ConfigurationError(f"cannot parse strategy {strategy!r}") from exc
-        record["iterations"] = t
-        record["success_probability"] = grover_simulate(instance, args.c_tol, t)
-        record["closed_form"] = amplitude_amplification_success(instance.n_data, m, t)
-        record["expected_repetitions_per_hit"] = (
-            1.0 / record["success_probability"] if record["success_probability"] > 0 else None
-        )
-        return record
-
     if strategy == "postselect":
-        config = RunConfig(
-            c_tol=args.c_tol,
-            encoder=AmplitudeEncoder.parse(args.encoder),
-            junk=JunkPolicy(args.junk),
-            n_anc=args.n_anc,
-            max_preparations=args.budget,
-        )
         ana = exact_analysis(instance, config)
         record["encoder"] = config.encoder.spec()
         record["p_joint_exact"] = float(ana.p_joint)
@@ -374,44 +368,38 @@ def _compare_one(strategy: str, instance: CostInstance, args: argparse.Namespace
         record["expected_preparations_per_hit"] = (
             1.0 / ana.p_joint if ana.p_joint > 0 else None
         )
-        stats = [
-            run_repeat_until_success(instance, RunConfig(
-                c_tol=args.c_tol, encoder=config.encoder, junk=config.junk,
-                n_anc=config.n_anc, max_preparations=args.budget, seed=s,
-            ))
-            for s in seeds
-        ]
+        stats = [run_repeat_until_success(instance, replace(config, seed=s)) for s in seeds]
         first_hits = [s.first_hit_preparation for s in stats if s.first_hit_preparation]
         record["hit_rate"] = sum(1 for s in stats if s.low_cost_hits) / len(stats)
         record["mean_trials_to_hit"] = float(np.mean(first_hits)) if first_hits else None
         record["mean_p_joint_estimate"] = float(np.mean([s.p_joint_estimate for s in stats]))
         return record
 
-    raise PostoptError(f"unknown strategy {strategy!r}")
+    t = optimal_iterations(instance.n_data, m) if iterations is None else iterations
+    record["iterations"] = t
+    record["success_probability"] = grover_simulate(instance, c_tol, t)
+    record["closed_form"] = amplitude_amplification_success(instance.n_data, m, t)
+    record["expected_repetitions_per_hit"] = (
+        1.0 / record["success_probability"] if record["success_probability"] > 0 else None
+    )
+    return record
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    if not strategies:
-        print("compare: empty strategy list", file=sys.stderr)
-        return 2
+    strategies = _parse_strategies(args.strategy)
     if args.repeats < 1 or args.budget < 1:
-        print("compare: --repeats and --budget must be >= 1", file=sys.stderr)
-        return 2
-    if not math.isfinite(args.c_tol):
-        print(f"compare: --c-tol must be finite, got {args.c_tol}", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--repeats and --budget must be >= 1")
+    config = _run_config(args, max_preparations=args.budget)
     instance = load_instance(args.instance)
+    _check_table_cap(instance.n_data)
     if count_below(instance, args.c_tol) < 1:
-        print(f"compare: no state has cost below c_tol={args.c_tol}; nothing to find",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")
 
     master = np.random.default_rng(args.seed)
     records = []
-    for strategy in strategies:
+    for strategy, iterations in strategies:
         seeds = [int(s) for s in master.integers(2**63, size=args.repeats)]
-        records.append(_compare_one(strategy, instance, args, seeds))
+        records.append(_compare_one(strategy, iterations, instance, config, seeds))
 
     meta = _meta("compare", args.seed)
     _write_report(args.out, meta, records, args.format)
@@ -449,34 +437,19 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     kind = args.kind
+    flag = {"explicit": "costs", "number_partition": "weights"}.get(kind, "n")
+    if getattr(args, flag) in (None, ""):
+        raise ConfigurationError(f"--{flag} is required for kind={kind}")
     n_data = args.n
-    if kind == "explicit":
-        if not args.costs:
-            print("generate: --costs is required for kind=explicit", file=sys.stderr)
-            return 2
-        params = {"costs": _parse_floats(args.costs, "--costs")}
-        n_data = len(params["costs"]).bit_length() - 1
+    if flag != "n":  # the list flags are named after their generator parameter
+        params = {flag: _parse_floats(getattr(args, flag), f"--{flag}")}
+        n_data = len(params[flag]).bit_length() - 1 if kind == "explicit" else len(params[flag])
     elif kind == "uniform_random":
-        if args.n is None:
-            print("generate: --n is required for kind=uniform_random", file=sys.stderr)
-            return 2
         params = {"n_data": args.n, "low": args.low, "high": args.high}
-    elif kind == "number_partition":
-        if not args.weights:
-            print("generate: --weights is required for kind=number_partition", file=sys.stderr)
-            return 2
-        params = {"weights": _parse_floats(args.weights, "--weights")}
-        n_data = len(params["weights"])
     else:
-        if args.n is None:
-            print("generate: --n is required for kind=hamming_structured", file=sys.stderr)
-            return 2
         params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
 
-    if n_data > TABLE_N_MAX:
-        print(f"generate: n_data={n_data} exceeds the table cap of {TABLE_N_MAX}",
-              file=sys.stderr)
-        return 2
+    _check_table_cap(n_data)
     instance = generate(kind, params, args.seed)
     save_instance(instance, args.out)
     k_min, c_min = min_cost(instance)

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-GENERATOR_KINDS = ("explicit", "uniform_random", "number_partition", "hamming_structured")
-
-
 @dataclass(frozen=True)
 class CostInstance:
     """Cost value for each of the N = 2**n_data bitstrings."""
@@ -47,13 +44,6 @@ class CostInstance:
     @property
     def c_max(self) -> float:
         return float(self.costs.max())
-
-
-def cost_of(instance: CostInstance, k: int) -> float:
-    """Cost of bitstring index k."""
-    if not 0 <= k < instance.size:
-        raise DomainError(f"index {k} out of range for {instance.size} states")
-    return float(instance.costs[k])
 
 
 def count_below(instance: CostInstance, c_tol: float) -> int:

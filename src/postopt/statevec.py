@@ -44,16 +44,15 @@ class RegisterLayout:
 
     n_data: int
     n_anc: int
-    cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self) -> None:
         if self.n_data < 1 or self.n_anc < 1:
             raise DomainError(
                 f"need n_data >= 1 and n_anc >= 1, got ({self.n_data}, {self.n_anc})"
             )
-        if self.n_data + self.n_anc > self.cap:
+        if self.n_data + self.n_anc > DEFAULT_QUBIT_CAP:
             raise CapacityError(
-                f"{self.n_data} + {self.n_anc} qubits exceeds the cap of {self.cap}"
+                f"{self.n_data} + {self.n_anc} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
             )
 
     @property
@@ -90,7 +89,7 @@ class StateVector:
                 f"expected {self.layout.total_dim} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise DomainError(f"state norm {norm} deviates from 1 by more than {NORM_ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -114,7 +113,7 @@ class OutcomeDistribution:
         if probs.min(initial=0.0) < -1e-15:
             raise DomainError(f"negative probability {probs.min()}")
         total = probs.sum()
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise DomainError(f"probabilities sum to {total}, not 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)

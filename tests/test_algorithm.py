@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postopt.algorithm import (
     RunConfig,
     chain_decomposition,
     encoded_state,
     exact_analysis,
-    per_state_product,
     run_repeat_until_success,
     sequential_vs_joint_check,
     wilson_interval,
 )
 from postopt.costfn import count_below, generate
 from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
-from postopt.errors import ConfigurationError, DomainError
+from postopt.errors import ConfigurationError
 from postopt.statevec import (
     ANCILLA,
     DATA,
@@ -104,23 +105,23 @@ def test_exact_analysis_undefined_conditional():
 def test_per_state_product_identity_is_exactly_one_over_n():
     inst = demo()
     config = RunConfig(c_tol=3.0, encoder=IDENTITY)
+    products = exact_analysis(inst, config).per_state_products
     for k in range(inst.size):
-        assert abs(per_state_product(inst, config, k) - 1 / 8) <= 1e-12
+        assert abs(products[k] - 1 / 8) <= 1e-12
 
 
 def test_per_state_product_oracle_zero_above_threshold():
     inst = demo()
     config = RunConfig(c_tol=3.0, encoder=AmplitudeEncoder.oracle_threshold(3.0))
-    assert per_state_product(inst, config, 5) == 0.0  # cost 9 >= 3
-    assert per_state_product(inst, config, 1) == pytest.approx(1 / 8, abs=1e-12)
+    products = exact_analysis(inst, config).per_state_products
+    assert products[5] == 0.0  # cost 9 >= 3
+    assert products[1] == pytest.approx(1 / 8, abs=1e-12)
 
 
 def test_per_state_product_cosine_hand_case():
     inst = generate("explicit", {"costs": [1.0, 2.0]})
     config = RunConfig(c_tol=1.5, encoder=COSPOW1)
-    assert per_state_product(inst, config, 0) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(DomainError):
-        per_state_product(inst, config, 2)
+    assert exact_analysis(inst, config).per_state_products[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_per_state_products_match_amplitude_oracle():
@@ -152,6 +153,53 @@ def test_equality_witnesses():
         for enc in (IDENTITY, AmplitudeEncoder.oracle_threshold(c_tol)):
             ana = exact_analysis(inst, RunConfig(c_tol=c_tol, encoder=enc))
             assert abs(ana.p_joint - ana.bound) <= 1e-12
+
+
+@st.composite
+def bound_cases(draw):
+    """(instance, c_tol, encoder, n_anc) with n_data + n_anc <= 12."""
+    n_data = draw(st.integers(1, 10))
+    n_anc = draw(st.integers(1, 12 - n_data))
+    kind = draw(st.sampled_from(["explicit", "uniform_random", "number_partition",
+                                 "hamming_structured"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "explicit":
+        # few distinct integer levels: ties, negative costs and c_tol == some cost
+        levels = np.random.default_rng(seed).integers(-3, 4, size=1 << n_data)
+        params = {"costs": levels.astype(float).tolist()}
+    elif kind == "uniform_random":
+        params = {"n_data": n_data, "low": -1.0, "high": 2.0}
+    elif kind == "number_partition":
+        params = {"weights": draw(st.lists(st.floats(0.01, 100.0), min_size=n_data,
+                                           max_size=n_data))}
+    else:
+        params = {"n_data": n_data, "lipschitz": draw(st.floats(0.1, 3.0)),
+                  "n_centers": draw(st.integers(1, 4))}
+    inst = generate(kind, params, seed)
+    around = st.floats(inst.costs.min() - 1.0, inst.costs.max() + 1.0)
+    c_tol = draw(st.one_of(st.sampled_from(inst.costs.tolist()), around))
+    encoder = draw(st.one_of(
+        st.just(IDENTITY),
+        st.just(AmplitudeEncoder.linear()),
+        st.floats(1e-3, 64.0).map(AmplitudeEncoder.cosine_power),
+        around.map(AmplitudeEncoder.oracle_threshold),
+    ))
+    return inst, c_tol, encoder, n_anc
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(bound_cases())
+def test_bound_and_junk_independence_hold_for_random_configurations(case):
+    inst, c_tol, encoder, n_anc = case
+    concentrated, spread = (
+        exact_analysis(inst, RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc))
+        for junk in (JunkPolicy.CONCENTRATED, JunkPolicy.SPREAD)
+    )
+    assert concentrated.p_joint <= concentrated.m / concentrated.n + 1e-9
+    assert concentrated.per_state_products.max() <= 1 / concentrated.n + 1e-9
+    assert abs(concentrated.p_first - spread.p_first) <= 1e-12
+    assert abs(concentrated.p_joint - spread.p_joint) <= 1e-12
+    assert np.abs(concentrated.per_state_products - spread.per_state_products).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

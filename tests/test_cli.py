@@ -247,6 +247,10 @@ MALFORMED_ARGV = {
     "encoder_inf_exponent": ["verify", "{demo}", "--c-tol", "3", "--encoder", "cospow:inf"],
     "encoder_nan_threshold": ["verify", "{demo}", "--c-tol", "3", "--encoder", "oracle:nan"],
     "grover_not_a_number": ["compare", "{demo}", "--c-tol", "3", "--strategy", "grover:x"],
+    "grover_not_a_number_after_hillclimb": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                            "hillclimb,grover:x"],
+    "compare_n_anc_zero_without_postselect": ["compare", "{demo}", "--c-tol", "3",
+                                              "--strategy", "random", "--n-anc", "0"],
     "verify_nan_c_tol": ["verify", "{demo}", "--c-tol", "nan"],
     "compare_inf_c_tol": ["compare", "{demo}", "--c-tol", "inf", "--strategy", "random"],
     "sweep_n_zero": ["verify", "--sweep", "2", "--n", "0"],
@@ -255,19 +259,25 @@ MALFORMED_ARGV = {
     "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
+    # run with TABLE_N_MAX patched to 2, below the n=3 demo file
+    "loaded_file_over_cap_verify": ["verify", "{demo}", "--c-tol", "3"],
+    "loaded_file_over_cap_compare": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
 def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
-    # oversized requests must be refused before any table or sweep is built
+    # bad or oversized requests must be refused before any table, sweep, search or analysis
     import postopt.cli as cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the arguments were validated")
 
-    monkeypatch.setattr(cli, "generate", forbidden)
-    monkeypatch.setattr(cli, "sweep_configurations", forbidden)
+    for name in ("generate", "sweep_configurations", "random_search", "hill_climb",
+                 "grover_simulate", "exact_analysis"):
+        monkeypatch.setattr(cli, name, forbidden)
+    if case.startswith("loaded_file_over_cap"):
+        monkeypatch.setattr(cli, "TABLE_N_MAX", 2)
     bad_costs = tmp_path / "bad_costs.json"
     bad_costs.write_text('{"n_data": 1, "costs": ["a", 1]}')
     bad_n_data = tmp_path / "bad_n_data.json"

