@@ -24,7 +24,6 @@ _BLOCK = 4096  # random draws consumed in blocks of this size
 
 @dataclass(frozen=True)
 class SearchResult:
-    strategy: str
     trials_used: int
     best_index: int
     best_cost: float
@@ -54,8 +53,8 @@ def random_search(
             best_index, best_cost = int(block[local_best]), float(seen[local_best])
         used += stop
         if hit_pos.size:
-            return SearchResult("random", used, best_index, best_cost, True)
-    return SearchResult("random", used, best_index, best_cost, best_cost < c_tol)
+            return SearchResult(used, best_index, best_cost, True)
+    return SearchResult(used, best_index, best_cost, best_cost < c_tol)
 
 
 def hill_climb(
@@ -71,33 +70,26 @@ def hill_climb(
     rng = np.random.default_rng(seed)
     best_index, best_cost = -1, math.inf
     trials = 0
-
-    def evaluate(k: int) -> float:
-        nonlocal trials, best_index, best_cost
-        trials += 1
-        c = float(instance.costs[k])
-        if c < best_cost:
-            best_index, best_cost = k, c
-        return c
-
+    bits = 1 << np.arange(instance.n_data)
     for _ in range(max_restarts):
-        current = int(rng.integers(0, instance.size))
-        current_cost = evaluate(current)
-        if best_cost < c_tol:
-            return SearchResult("hillclimb", trials, best_index, best_cost, True)
+        # the start is a one-state batch that any finite cost improves on
+        batch, current_cost = np.array([rng.integers(0, instance.size)]), math.inf
         while True:
-            step_to, step_cost = None, current_cost
-            for j in range(instance.n_data):
-                neighbor = current ^ (1 << j)
-                c = evaluate(neighbor)
-                if best_cost < c_tol:
-                    return SearchResult("hillclimb", trials, best_index, best_cost, True)
-                if c < step_cost:
-                    step_to, step_cost = neighbor, c
-            if step_to is None:
+            costs = instance.costs[batch]
+            hit = costs.min() < c_tol  # then stop at the first cost below c_tol
+            seen = costs[: int(np.argmax(costs < c_tol)) + 1] if hit else costs
+            trials += len(seen)
+            step = int(seen.argmin())
+            cost = float(seen[step])
+            if cost < best_cost:
+                best_index, best_cost = int(batch[step]), cost
+            if hit:
+                return SearchResult(trials, best_index, best_cost, True)
+            if not cost < current_cost:
                 break  # local minimum
-            current, current_cost = step_to, step_cost
-    return SearchResult("hillclimb", trials, best_index, best_cost, best_cost < c_tol)
+            current_cost = cost
+            batch = int(batch[step]) ^ bits
+    return SearchResult(trials, best_index, best_cost, best_cost < c_tol)
 
 
 def amplitude_amplification_success(n_data: int, m: int, iterations: int) -> float:

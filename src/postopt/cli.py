@@ -49,7 +49,7 @@ from .baselines import (
 from .costfn import CostInstance, count_below, generate, load_instance, min_cost, save_instance
 from .encoding import AmplitudeEncoder, JunkPolicy
 from .errors import ConfigurationError, PostoptError
-from .statevec import NORM_ATOL
+from .statevec import NORM_ATOL, RegisterLayout
 
 SWEEP_ENCODERS = ("identity", "oracle", "cospow:0.5", "cospow:1", "cospow:2", "cospow:8", "linear")
 SWEEP_KINDS = ("uniform_random", "number_partition", "hamming_structured")
@@ -81,8 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--out", required=True, help="output path (.json for structured form)")
 
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--junk", default="concentrated", choices=["concentrated", "spread"])
-    shared.add_argument("--n-anc", type=int, default=1, help="ancilla qubit count")
+    # None marks a flag as unset, so verify --sweep can refuse it; _run_config applies the defaults
+    shared.add_argument("--junk", choices=["concentrated", "spread"],
+                        help="where the failure amplitude goes (default concentrated)")
+    shared.add_argument("--n-anc", type=int, help="ancilla qubit count (default 1)")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("-o", "--out", help="report path")
     shared.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
@@ -93,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("instance", nargs="?", help="instance file to verify")
     source.add_argument("--sweep", type=int, metavar="COUNT",
                         help="verify COUNT randomized configurations instead of a file")
-    ver.add_argument("--n", type=int, help="cap on swept data qubit count (default 12)", default=12)
-    ver.add_argument("--encoder", default="identity",
-                     help="identity | oracle:<tau> | cospow:<b> | linear")
+    ver.add_argument("--n", type=int, help="cap on swept data qubit count (default 12)")
+    ver.add_argument("--encoder", help="identity | oracle:<tau> | cospow:<b> | linear "
+                                       "(default identity)")
     ver.add_argument("--c-tol", type=float, help="success threshold (strict); required with a file")
 
     cmp_ = sub.add_parser("compare", parents=[shared],
@@ -163,10 +165,18 @@ def _check_table_cap(n_data: int) -> None:
         raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {TABLE_N_MAX}")
 
 
+def _check_capacity(instance: CostInstance, config: RunConfig) -> None:
+    """Refuse a loaded table past the table cap, or registers past the qubit cap."""
+    _check_table_cap(instance.n_data)
+    RegisterLayout(instance.n_data, config.n_anc)
+
+
 def _run_config(args: argparse.Namespace, **extra) -> RunConfig:
-    """The RunConfig that the shared verify/compare flags describe."""
-    return RunConfig(c_tol=args.c_tol, encoder=AmplitudeEncoder.parse(args.encoder),
-                     junk=JunkPolicy(args.junk), n_anc=args.n_anc, **extra)
+    """The RunConfig the shared verify/compare flags describe; unset flags take their defaults."""
+    encoder = "identity" if args.encoder is None else args.encoder  # only verify leaves it unset
+    return RunConfig(c_tol=args.c_tol, encoder=AmplitudeEncoder.parse(encoder),
+                     junk=JunkPolicy(args.junk or "concentrated"),
+                     n_anc=1 if args.n_anc is None else args.n_anc, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +289,27 @@ def _print_verify_table(records: list[dict]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # a sweep draws its own configurations; a file has no --n to cap: refuse what is never read
+    source = "--sweep" if args.sweep is not None else "an instance file"
+    for flag in ("encoder", "c_tol", "junk", "n_anc") if args.sweep is not None else ("n",):
+        if getattr(args, flag) is not None:
+            raise ConfigurationError(f"--{flag.replace('_', '-')} cannot be used with {source}")
     if args.sweep is not None:
+        n_max = 12 if args.n is None else args.n
         if args.sweep < 1:
             raise ConfigurationError("--sweep must be >= 1")
-        if not 1 <= args.n <= TABLE_N_MAX:
+        if not 1 <= n_max <= TABLE_N_MAX:
             raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
-        swept = sweep_configurations(args.sweep, args.seed, args.n)
+        swept = sweep_configurations(args.sweep, args.seed, n_max)
         records = [check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc in swept]
     else:
         if args.c_tol is None:
             raise ConfigurationError("--c-tol is required when verifying an instance file")
         config = _run_config(args)
         instance = load_instance(args.instance)
-        _check_table_cap(instance.n_data)
-        key = f"file:{args.instance}/{config.encoder.spec()}/{args.junk}/anc{args.n_anc}/ctol{args.c_tol:.6g}"
+        _check_capacity(instance, config)
+        key = (f"file:{args.instance}/{config.encoder.spec()}/{config.junk.value}/"
+               f"anc{config.n_anc}/ctol{args.c_tol:.6g}")
         desc = {"instance_kind": "file", "instance_seed": None,
                 "instance_params": json.dumps({"path": args.instance}), "n_data": instance.n_data}
         records = [check_configuration(instance, config, key, desc)]
@@ -391,7 +408,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigurationError("--repeats and --budget must be >= 1")
     config = _run_config(args, max_preparations=args.budget)
     instance = load_instance(args.instance)
-    _check_table_cap(instance.n_data)
+    _check_capacity(instance, config)
     if count_below(instance, args.c_tol) < 1:
         raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")
 

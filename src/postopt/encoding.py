@@ -6,16 +6,16 @@ amplitude assigned to cost C(k), and routes the leftover sqrt(1 - a_k^2)/sqrt(N)
 onto nonzero ancilla outcomes according to the junk policy.  The map is an
 isometry on its domain, so the output is again normalized.
 
-Encoder families (u = cost / c_max after the instance-level shift):
+Encoder families, named by their specs (u = cost / c_max after the shift):
 
-    identity             a = 1
-    oracle_threshold(t)  a = 1 if cost < t else 0
-    cosine_power(b)      a = cos(pi * u / 2) ** b
-    linear               a = 1 - u
+    identity     a = 1
+    oracle:<t>   a = 1 if cost < t else 0
+    cospow:<b>   a = cos(pi * u / 2) ** b
+    linear       a = 1 - u
 
-Costs are shifted so the minimum is >= 0 before encoding (thresholds shift
-along with them), keeping every family well-defined for arbitrary finite
-instances.  None of the verified bounds depend on the family choice.
+cospow and linear see costs shifted so the minimum is >= 0, well-defined for
+any finite instance; the oracle compares the raw costs with t, as
+`count_below` does.  None of the verified bounds depend on the family choice.
 """
 
 from __future__ import annotations
@@ -40,11 +40,20 @@ class JunkPolicy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class AmplitudeEncoder:
-    """One member of the cost-to-success-amplitude family."""
+    """One member of the cost-to-success-amplitude family, named by its spec."""
 
     family: str
-    tau: float | None = None  # oracle_threshold only
-    b: float | None = None    # cosine_power only
+    param: float | None = None  # oracle threshold tau, or cospow exponent b
+
+    def __post_init__(self) -> None:
+        p = self.param
+        if self.family in ("identity", "linear"):
+            ok = p is None
+        else:
+            ok = (self.family in ("oracle", "cospow") and p is not None and math.isfinite(p)
+                  and (self.family == "oracle" or p > 0))
+        if not ok:
+            raise ConfigurationError(f"bad encoder: family {self.family!r}, parameter {p!r}")
 
     @classmethod
     def identity(cls) -> "AmplitudeEncoder":
@@ -52,15 +61,11 @@ class AmplitudeEncoder:
 
     @classmethod
     def oracle_threshold(cls, tau: float) -> "AmplitudeEncoder":
-        if not math.isfinite(tau):
-            raise ConfigurationError(f"oracle threshold must be finite, got {tau}")
-        return cls("oracle_threshold", tau=float(tau))
+        return cls("oracle", float(tau))
 
     @classmethod
     def cosine_power(cls, b: float) -> "AmplitudeEncoder":
-        if not (math.isfinite(b) and b > 0):
-            raise ConfigurationError(f"cosine_power exponent must be positive and finite, got {b}")
-        return cls("cosine_power", b=float(b))
+        return cls("cospow", float(b))
 
     @classmethod
     def linear(cls) -> "AmplitudeEncoder":
@@ -69,65 +74,48 @@ class AmplitudeEncoder:
     @classmethod
     def parse(cls, spec: str) -> "AmplitudeEncoder":
         """Parse a CLI spec string: identity | oracle:<tau> | cospow:<b> | linear."""
-        name, _, arg = spec.partition(":")
-        if name == "identity" and not arg:
-            return cls.identity()
-        if name == "linear" and not arg:
-            return cls.linear()
-        if name in ("oracle", "cospow") and arg:
-            try:
-                value = float(arg)
-            except ValueError as exc:
-                raise ConfigurationError(f"cannot parse encoder spec {spec!r}") from exc
-            return cls.oracle_threshold(value) if name == "oracle" else cls.cosine_power(value)
-        raise ConfigurationError(f"cannot parse encoder spec {spec!r}")
+        name, colon, arg = spec.partition(":")
+        try:
+            return cls(name, float(arg) if colon else None)
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot parse encoder spec {spec!r}") from exc
 
     def spec(self) -> str:
-        if self.family == "identity":
-            return "identity"
-        if self.family == "linear":
-            return "linear"
-        if self.family == "oracle_threshold":
-            return f"oracle:{self.tau:g}"
-        return f"cospow:{self.b:g}"
+        return self.family if self.param is None else f"{self.family}:{self.param:g}"
 
 
 def success_amplitude(encoder: AmplitudeEncoder, cost: float, c_max: float) -> float:
     """Success amplitude a in [0, 1] for a single (already shifted) cost."""
     if not 0.0 <= cost <= c_max:
         raise DomainError(f"cost {cost} outside [0, {c_max}]")
-    return float(_amplitudes(encoder, np.array([cost]), c_max)[0])
+    costs = np.array([cost])
+    return float(_amplitudes(encoder, costs, costs, c_max)[0])
 
 
-def _amplitudes(encoder: AmplitudeEncoder, costs: np.ndarray, c_max: float) -> np.ndarray:
-    u = costs / c_max if c_max > 0 else np.zeros_like(costs)
+def _amplitudes(encoder: AmplitudeEncoder, costs: np.ndarray, shifted: np.ndarray,
+                c_max: float) -> np.ndarray:
+    """The oracle tests the raw `costs`; cospow and linear scale `shifted` by c_max."""
     if encoder.family == "identity":
         return np.ones_like(costs)
-    if encoder.family == "oracle_threshold":
-        return (costs < encoder.tau).astype(float)
-    if encoder.family == "cosine_power":
+    if encoder.family == "oracle":
+        return (costs < encoder.param).astype(float)
+    u = shifted / c_max if c_max > 0 else np.zeros_like(shifted)
+    if encoder.family == "cospow":
         # force the endpoint: float cos(pi/2) ~ 6e-17, and fractional powers
         # would amplify that residue into a spurious success amplitude
-        return np.where(u >= 1.0, 0.0, np.cos(np.pi * u / 2.0) ** encoder.b)
-    if encoder.family == "linear":
-        return 1.0 - u
-    raise ConfigurationError(f"unknown encoder family {encoder.family!r}")
+        return np.where(u >= 1.0, 0.0, np.cos(np.pi * u / 2.0) ** encoder.param)
+    return 1.0 - u
 
 
 def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
     """Success amplitude for every state of an instance.
 
-    Applies the instance-level shift: when the minimum cost is negative, all
-    costs (and an oracle threshold, which is a cost) move up by the same
-    amount, preserving every cost-vs-threshold comparison.
+    When the minimum cost is negative, cospow and linear scale the costs
+    shifted up so the minimum is 0; the oracle compares the raw costs.
     """
     costs = instance.costs
-    shift = -float(costs.min()) if costs.min() < 0 else 0.0
-    shifted = costs + shift
-    enc = encoder
-    if encoder.family == "oracle_threshold" and shift:
-        enc = AmplitudeEncoder.oracle_threshold(encoder.tau + shift)
-    return _amplitudes(enc, shifted, float(shifted.max()))
+    shifted = costs - min(0.0, costs.min())
+    return _amplitudes(encoder, costs, shifted, float(shifted.max()))
 
 
 def encode(

@@ -200,6 +200,10 @@ def test_bound_and_junk_independence_hold_for_random_configurations(case):
     assert abs(concentrated.p_first - spread.p_first) <= 1e-12
     assert abs(concentrated.p_joint - spread.p_joint) <= 1e-12
     assert np.abs(concentrated.per_state_products - spread.per_state_products).max() <= 1e-12
+    # criterion 3: the oracle at c_tol reaches the ceiling, negative costs included
+    oracle = RunConfig(c_tol=c_tol, encoder=AmplitudeEncoder.oracle_threshold(c_tol), n_anc=n_anc)
+    tight = exact_analysis(inst, oracle)
+    assert abs(tight.p_joint - tight.m / tight.n) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

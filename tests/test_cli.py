@@ -259,6 +259,15 @@ MALFORMED_ARGV = {
     "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
+    # a sweep draws its own encoder, c_tol, junk policy and n_anc; a file has no --n to cap
+    "sweep_with_encoder": ["verify", "--sweep", "2", "--encoder", "cospow:2"],
+    "sweep_with_c_tol": ["verify", "--sweep", "2", "--c-tol", "0.5"],
+    "sweep_with_junk": ["verify", "--sweep", "2", "--junk", "spread"],
+    "sweep_with_n_anc": ["verify", "--sweep", "2", "--n-anc", "2"],
+    "file_with_n": ["verify", "{demo}", "--c-tol", "3", "--n", "4"],
+    "compare_qubits_over_cap_before_hillclimb": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                                 "hillclimb,postselect", "--n-anc", "30"],
+    "verify_qubits_over_cap": ["verify", "{demo}", "--c-tol", "3", "--n-anc", "30"],
     # run with TABLE_N_MAX patched to 2, below the n=3 demo file
     "loaded_file_over_cap_verify": ["verify", "{demo}", "--c-tol", "3"],
     "loaded_file_over_cap_compare": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random"],

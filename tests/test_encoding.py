@@ -92,6 +92,10 @@ def test_negative_costs_shift_with_threshold():
     assert np.array_equal(amps, [1.0, 0.0])  # -1 < 0 still marked after the shift
     amps = instance_amplitudes(AmplitudeEncoder.cosine_power(1), inst)
     assert amps[0] == pytest.approx(1.0)  # shifted minimum sits at cost 0
+    # shifting tau by 1 would round it onto the cost 1e-17 + 1; the oracle must read raw costs
+    inst = generate("explicit", {"costs": [-1.0, 1e-17, 0.5, 0.7]})
+    amps = instance_amplitudes(AmplitudeEncoder.oracle_threshold(2e-17), inst)
+    assert np.array_equal(amps, (inst.costs < 2e-17).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +106,18 @@ def test_encoder_spec_round_trip():
         assert AmplitudeEncoder.parse(spec).spec() == spec
 
 
-@pytest.mark.parametrize("bad", ["", "oracle", "cospow", "cospow:-1", "magic:3", "identity:1"])
+@pytest.mark.parametrize("bad", ["", "oracle", "cospow", "cospow:-1", "magic:3", "identity:1",
+                                 "identity:", "linear:", "oracle:inf"])
 def test_encoder_spec_rejects(bad):
     with pytest.raises((ConfigurationError, ValueError)):
         AmplitudeEncoder.parse(bad)
+
+
+@pytest.mark.parametrize("args", [("cospow",), ("cospow", -1.0), ("oracle",), ("identity", 1.0)])
+def test_encoder_constructor_rejects(args):
+    # the type itself refuses a missing, extra or out-of-range parameter
+    with pytest.raises(ConfigurationError):
+        AmplitudeEncoder(*args)
 
 
 # ---------------------------------------------------------------------------
