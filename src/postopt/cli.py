@@ -81,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--out", required=True, help="output path (.json for structured form)")
 
     shared = argparse.ArgumentParser(add_help=False)
-    # None marks a flag as unset, so verify --sweep can refuse it; _run_config applies the defaults
+    # None marks a flag as unset, so a command that would not read it can refuse it;
+    # _run_config applies the defaults
     shared.add_argument("--junk", choices=["concentrated", "spread"],
                         help="where the failure amplitude goes (default concentrated)")
     shared.add_argument("--n-anc", type=int, help="ancilla qubit count (default 1)")
-    shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("-o", "--out", help="report path")
     shared.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
 
@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sweep", type=int, metavar="COUNT",
                         help="verify COUNT randomized configurations instead of a file")
     ver.add_argument("--n", type=int, help="cap on swept data qubit count (default 12)")
+    ver.add_argument("--seed", type=int, help="sweep seed (default 0)")
     ver.add_argument("--encoder", help="identity | oracle:<tau> | cospow:<b> | linear "
                                        "(default identity)")
     ver.add_argument("--c-tol", type=float, help="success threshold (strict); required with a file")
@@ -106,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--c-tol", type=float, required=True)
     cmp_.add_argument("--strategy", required=True,
                       help="comma list of random | hillclimb | grover:<t|auto> | postselect")
-    cmp_.add_argument("--encoder", default="cospow:1", help="encoder for the postselect strategy")
+    cmp_.add_argument("--seed", type=int, default=0)
+    cmp_.add_argument("--encoder", help="encoder for the postselect strategy (default cospow:1)")
     cmp_.add_argument("--repeats", type=int, default=32, help="independent runs per strategy")
     cmp_.add_argument("--budget", type=int, default=10_000,
                       help="per-run budget: draws (random), preparations (postselect), "
@@ -171,9 +173,16 @@ def _check_capacity(instance: CostInstance, config: RunConfig) -> None:
     RegisterLayout(instance.n_data, config.n_anc)
 
 
-def _run_config(args: argparse.Namespace, **extra) -> RunConfig:
+def _refuse_unread(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> None:
+    """Refuse any of `flags` that was set: the command would never read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigurationError(f"--{flag.replace('_', '-')} cannot be used {context}")
+
+
+def _run_config(args: argparse.Namespace, default_encoder: str, **extra) -> RunConfig:
     """The RunConfig the shared verify/compare flags describe; unset flags take their defaults."""
-    encoder = "identity" if args.encoder is None else args.encoder  # only verify leaves it unset
+    encoder = default_encoder if args.encoder is None else args.encoder
     return RunConfig(c_tol=args.c_tol, encoder=AmplitudeEncoder.parse(encoder),
                      junk=JunkPolicy(args.junk or "concentrated"),
                      n_anc=1 if args.n_anc is None else args.n_anc, **extra)
@@ -289,23 +298,22 @@ def _print_verify_table(records: list[dict]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # a sweep draws its own configurations; a file has no --n to cap: refuse what is never read
-    source = "--sweep" if args.sweep is not None else "an instance file"
-    for flag in ("encoder", "c_tol", "junk", "n_anc") if args.sweep is not None else ("n",):
-        if getattr(args, flag) is not None:
-            raise ConfigurationError(f"--{flag.replace('_', '-')} cannot be used with {source}")
+    # a sweep draws its own configurations; a file has no --n to cap and nothing to seed
+    seed = 0 if args.seed is None else args.seed
     if args.sweep is not None:
+        _refuse_unread(args, ("encoder", "c_tol", "junk", "n_anc"), "with --sweep")
         n_max = 12 if args.n is None else args.n
         if args.sweep < 1:
             raise ConfigurationError("--sweep must be >= 1")
         if not 1 <= n_max <= TABLE_N_MAX:
             raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
-        swept = sweep_configurations(args.sweep, args.seed, n_max)
+        swept = sweep_configurations(args.sweep, seed, n_max)
         records = [check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc in swept]
     else:
+        _refuse_unread(args, ("n", "seed"), "with an instance file")
         if args.c_tol is None:
             raise ConfigurationError("--c-tol is required when verifying an instance file")
-        config = _run_config(args)
+        config = _run_config(args, "identity")
         instance = load_instance(args.instance)
         _check_capacity(instance, config)
         key = (f"file:{args.instance}/{config.encoder.spec()}/{config.junk.value}/"
@@ -314,7 +322,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "instance_params": json.dumps({"path": args.instance}), "n_data": instance.n_data}
         records = [check_configuration(instance, config, key, desc)]
 
-    meta = _meta("verify", args.seed)
+    meta = _meta("verify", seed)
     _write_report(args.out, meta, records, args.format)
     _print_verify_table(records)
 
@@ -404,9 +412,11 @@ def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
 
 def cmd_compare(args: argparse.Namespace) -> int:
     strategies = _parse_strategies(args.strategy)
+    if all(spec != "postselect" for spec, _ in strategies):
+        _refuse_unread(args, ("encoder", "junk", "n_anc"), "without the postselect strategy")
     if args.repeats < 1 or args.budget < 1:
         raise ConfigurationError("--repeats and --budget must be >= 1")
-    config = _run_config(args, max_preparations=args.budget)
+    config = _run_config(args, "cospow:1", max_preparations=args.budget)
     instance = load_instance(args.instance)
     _check_capacity(instance, config)
     if count_below(instance, args.c_tol) < 1:

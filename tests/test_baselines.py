@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postopt.baselines import (
+    _grover_pair,
     amplitude_amplification_success,
     grover_simulate,
     grover_state,
@@ -143,6 +146,50 @@ def test_grover_simulate_matches_closed_form_random():
         assert grover_simulate(inst, c_tol, t) == pytest.approx(
             amplitude_amplification_success(n, m, t), abs=1e-10
         )
+
+
+def marked_instance(n_data, m, seed):
+    """An explicit instance where exactly m states, scattered at random, cost below m."""
+    costs = np.random.default_rng(seed).permutation(1 << n_data).astype(float)
+    return generate("explicit", {"costs": costs.tolist()}), float(m)
+
+
+def assert_matches_dense_reference(inst, c_tol, t):
+    m, n = count_below(inst, c_tol), inst.size
+    dense = grover_state(inst, c_tol, t)
+    marked = inst.costs < c_tol
+    assert abs(grover_simulate(inst, c_tol, t) - float((dense[marked] ** 2).sum())) <= 1e-12
+    a, b = _grover_pair(n, m, t)
+    assert np.all(np.abs(dense[marked] - a) <= 1e-12)
+    assert np.all(np.abs(dense[~marked] - b) <= 1e-12)
+    assert abs(m * a * a + (n - m) * b * b - 1.0) <= 1e-12
+
+
+def test_grover_simulate_matches_dense_reference():
+    rng = np.random.default_rng(505)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        size = 1 << n
+        for m in (1, int(rng.integers(1, size + 1)), size):
+            t_max = 4 * optimal_iterations(n, m) + 3
+            for t in (0, int(rng.integers(0, t_max + 1)), t_max):
+                assert_matches_dense_reference(*marked_instance(n, m, int(rng.integers(2**31))), t)
+
+
+@st.composite
+def grover_cases(draw):
+    """(instance, c_tol, t) with n_data <= 12, 1 <= M <= N and t <= 4 * optimal + 3."""
+    n_data = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 1 << n_data))
+    t = draw(st.integers(0, 4 * optimal_iterations(n_data, m) + 3))
+    inst, c_tol = marked_instance(n_data, m, draw(st.integers(0, 2**32 - 1)))
+    return inst, c_tol, t
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grover_cases())
+def test_grover_simulate_matches_dense_reference_property(case):
+    assert_matches_dense_reference(*case)
 
 
 def test_grover_state_norm_preserved():

@@ -80,7 +80,8 @@ def test_verify_single_instance_equality_case(tmp_path, capsys):
     code = main(["verify", str(demo), "--encoder", "identity", "--c-tol", "3",
                  "-o", str(report)])
     assert code == 0
-    _, records = read_records(report)
+    meta, records = read_records(report)
+    assert meta["seed"] == 0
     assert len(records) == 1
     rec = records[0]
     assert rec["p_joint"] == pytest.approx(0.375, abs=1e-12)
@@ -199,6 +200,19 @@ def test_compare_grover_auto(tmp_path):
     assert rec["closed_form"] == pytest.approx(rec["success_probability"], abs=1e-10)
 
 
+def test_compare_grover_large_explicit_t(tmp_path):
+    inst = generate("explicit", {"costs": hamming_distances(16, 0).astype(float)})
+    path = tmp_path / "hw16.txt"
+    save_instance(inst, path)
+    report = tmp_path / "grover.jsonl"
+    assert main(["compare", str(path), "--c-tol", "1", "--strategy", "grover:100000",
+                 "-o", str(report)]) == 0
+    _, records = read_records(report)
+    rec = records[0]
+    assert (rec["m"], rec["iterations"]) == (1, 100_000)
+    assert abs(rec["success_probability"] - rec["closed_form"]) <= 1e-10
+
+
 def test_compare_strategy_table_order(tmp_path):
     demo = write_demo(tmp_path)
     report = tmp_path / "order.jsonl"
@@ -217,6 +231,7 @@ def test_compare_records_reproducible(tmp_path):
     assert main(argv + ["-o", str(a)]) == 0
     assert main(argv + ["-o", str(b)]) == 0
     assert records_without_timestamp(a) == records_without_timestamp(b)
+    assert read_records(a)[1][1]["encoder"] == "cospow:1"  # the default postselect encoder
 
 
 def test_compare_usage_errors(tmp_path):
@@ -265,6 +280,14 @@ MALFORMED_ARGV = {
     "sweep_with_junk": ["verify", "--sweep", "2", "--junk", "spread"],
     "sweep_with_n_anc": ["verify", "--sweep", "2", "--n-anc", "2"],
     "file_with_n": ["verify", "{demo}", "--c-tol", "3", "--n", "4"],
+    "file_with_seed": ["verify", "{demo}", "--c-tol", "3", "--seed", "99"],
+    # the encoder, junk policy and n_anc act only on the postselect strategy
+    "compare_encoder_without_postselect": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                           "random", "--encoder", "cospow:3"],
+    "compare_junk_without_postselect": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                        "random", "--junk", "spread"],
+    "compare_n_anc_without_postselect": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                         "random,grover:auto", "--n-anc", "2"],
     "compare_qubits_over_cap_before_hillclimb": ["compare", "{demo}", "--c-tol", "3", "--strategy",
                                                  "hillclimb,postselect", "--n-anc", "30"],
     "verify_qubits_over_cap": ["verify", "{demo}", "--c-tol", "3", "--n-anc", "30"],
