@@ -55,6 +55,7 @@ SWEEP_ENCODERS = ("identity", "oracle", "cospow:0.5", "cospow:1", "cospow:2", "c
 SWEEP_KINDS = ("uniform_random", "number_partition", "hamming_structured")
 SWEEP_QUANTILES = (0.1, 0.25, 0.5, 0.9)
 TABLE_N_MAX = 20  # explicit cost tables stop being practical past 2**20 entries
+GROVER_T_MAX = 10**7  # grover:<t> steps cost O(t); 10^7 of them take about 3 s
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("instance", help="instance file")
     cmp_.add_argument("--c-tol", type=float, required=True)
     cmp_.add_argument("--strategy", required=True,
-                      help="comma list of random | hillclimb | grover:<t|auto> | postselect")
+                      help="comma list of random | hillclimb | grover:<t|auto> | postselect; "
+                           f"t <= {GROVER_T_MAX}")
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--encoder", help="encoder for the postselect strategy (default cospow:1)")
     cmp_.add_argument("--repeats", type=int, default=32, help="independent runs per strategy")
@@ -349,6 +351,9 @@ def _parse_strategies(text: str) -> list[tuple[str, int | None]]:
         if spec in ("random", "hillclimb", "postselect") or (name == "grover" and arg in ("", "auto")):
             parsed.append((spec, None))
         elif name == "grover" and arg.isdecimal():
+            # float, not int: int() refuses digit strings past 4300 digits with a ValueError
+            if float(arg) > GROVER_T_MAX:
+                raise ConfigurationError(f"{spec!r} exceeds the cap of {GROVER_T_MAX} iterations")
             parsed.append((spec, int(arg)))
         else:
             raise ConfigurationError(f"cannot parse strategy {spec!r}")

@@ -165,12 +165,12 @@ def load_instance(path: str | Path) -> CostInstance:
             )
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
-    lines = stripped.splitlines()
-    if not lines or not lines[0].startswith("n_data="):
+    header, _, body = stripped.partition("\n")
+    if not header.startswith("n_data="):
         raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
     try:
-        n_data = int(lines[0].split("=", 1)[1])
-        costs = np.array(" ".join(lines[1:]).split(), dtype=float)
+        n_data = int(header.split("=", 1)[1])
+        costs = np.array(body.split(), dtype=float)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
     return CostInstance(n_data, costs, {"kind": "file", "path": str(path)})

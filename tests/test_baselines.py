@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postopt.baselines import (
+    _BLOCK,
+    SearchResult,
     _grover_pair,
     amplitude_amplification_success,
     grover_simulate,
@@ -14,6 +17,7 @@ from postopt.baselines import (
     optimal_iterations,
     random_search,
 )
+from postopt.cli import GROVER_T_MAX
 from postopt.costfn import count_below, generate, hamming_distances
 from postopt.errors import DomainError
 
@@ -106,6 +110,83 @@ def test_hill_climb_result_invariant():
         assert result.hit == (result.best_cost < 0.25)
 
 
+def test_hill_climb_refuses_no_restarts():
+    with pytest.raises(DomainError):
+        hill_climb(demo(), 3.0, seed=0, max_restarts=0)
+
+
+def _hill_climb_reference(instance, c_tol, seed, max_restarts):
+    """The restarts one after another, one neighbourhood scan per step."""
+    rng = np.random.default_rng(seed)
+    best_index, best_cost = -1, math.inf
+    trials = 0
+    bits = 1 << np.arange(instance.n_data)
+    for _ in range(max_restarts):
+        # the start is a one-state batch that any finite cost improves on
+        batch, current_cost = np.array([rng.integers(0, instance.size)]), math.inf
+        while True:
+            costs = instance.costs[batch]
+            hit = costs.min() < c_tol  # then stop at the first cost below c_tol
+            seen = costs[: int(np.argmax(costs < c_tol)) + 1] if hit else costs
+            trials += len(seen)
+            step = int(seen.argmin())
+            cost = float(seen[step])
+            if cost < best_cost:
+                best_index, best_cost = int(batch[step]), cost
+            if hit:
+                return SearchResult(trials, best_index, best_cost, True)
+            if not cost < current_cost:
+                break  # local minimum
+            current_cost = cost
+            batch = int(batch[step]) ^ bits
+    return SearchResult(trials, best_index, best_cost, best_cost < c_tol)
+
+
+@st.composite
+def hill_climb_cases(draw):
+    """(instance, c_tol, seed, max_restarts) over landscapes with ties and negative costs."""
+    n_data = draw(st.integers(1, 10))
+    size = 1 << n_data
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    landscape = draw(st.sampled_from(["uniform", "tied", "hamming", "negative"]))
+    if landscape == "uniform":
+        costs = rng.uniform(0.0, 1.0, size)
+    elif landscape == "tied":
+        costs = rng.integers(0, 4, size).astype(float)
+    elif landscape == "hamming":
+        costs = generate("hamming_structured", {"n_data": n_data, "n_centers": 3},
+                         seed=int(rng.integers(2**31))).costs
+    else:
+        costs = rng.uniform(-5.0, 1.0, size)
+    threshold = draw(st.sampled_from(["below_min", "at_cost", "low_quantile"]))
+    if threshold == "below_min":
+        c_tol = float(costs.min()) - 1.0
+    elif threshold == "at_cost":
+        c_tol = float(costs[draw(st.integers(0, size - 1))])
+    else:
+        c_tol = float(np.quantile(costs, draw(st.floats(0.0, 0.1))))
+    inst = generate("explicit", {"costs": costs.tolist()})
+    restarts = draw(st.integers(1, 64) | st.integers(_BLOCK - 1, _BLOCK + 64))  # blocks chain
+    return inst, c_tol, draw(st.integers(0, 2**63 - 1)), restarts
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hill_climb_cases())
+def test_hill_climb_matches_sequential_reference(case):
+    assert hill_climb(*case) == _hill_climb_reference(*case)
+
+
+def test_hill_climb_first_hit_past_the_first_block():
+    # descent runs away from the one low-cost state: only a start at it or beside it sees it
+    n = 16
+    costs = hamming_distances(n, (1 << n) - 1).astype(float)
+    costs[0] = -1.0
+    inst = generate("explicit", {"costs": costs.tolist()})
+    assert not _hill_climb_reference(inst, 0.0, 0, _BLOCK).hit
+    result = hill_climb(inst, 0.0, seed=0, max_restarts=3 * _BLOCK)
+    assert result.hit and result == _hill_climb_reference(inst, 0.0, 0, 3 * _BLOCK)
+
+
 # ---------------------------------------------------------------------------
 # amplitude amplification
 
@@ -190,6 +271,30 @@ def grover_cases(draw):
 @given(grover_cases())
 def test_grover_simulate_matches_dense_reference_property(case):
     assert_matches_dense_reference(*case)
+
+
+def success_at_50_digits(n_data, m, t):
+    with mpmath.workdps(50):
+        theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / (1 << n_data)))
+        return mpmath.sin((2 * t + 1) * theta) ** 2
+
+
+@st.composite
+def grover_counts(draw):
+    """(n_data, M, t) with n_data <= 20, 1 <= M <= N and t up to the CLI's cap."""
+    n_data = draw(st.integers(1, 20))
+    return n_data, draw(st.integers(1, 1 << n_data)), draw(st.integers(0, GROVER_T_MAX))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(grover_counts())
+@example((12, 4095, GROVER_T_MAX))  # the float sin^2 was off by 2e-8 here
+def test_both_grover_routes_match_50_digits_property(counts):
+    n_data, m, t = counts
+    exact = success_at_50_digits(n_data, m, t)
+    a, _ = _grover_pair(1 << n_data, m, t)
+    assert abs(m * a * a - exact) <= 1e-12
+    assert abs(amplitude_amplification_success(n_data, m, t) - exact) <= 1e-12
 
 
 def test_grover_state_norm_preserved():

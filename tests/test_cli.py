@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from postopt.cli import TABLE_N_MAX, check_configuration, main
+from postopt.cli import GROVER_T_MAX, TABLE_N_MAX, check_configuration, main
 from postopt.costfn import generate, hamming_distances, load_instance, save_instance
 
 
@@ -213,6 +213,19 @@ def test_compare_grover_large_explicit_t(tmp_path):
     assert abs(rec["success_probability"] - rec["closed_form"]) <= 1e-10
 
 
+def test_compare_grover_closed_form_holds_at_large_t(tmp_path):
+    # N = 1024, M = 1023: the double-precision sin^2 was 1.8e-10 off at t = 10^5
+    inst = generate("explicit", {"costs": np.arange(1024.0)})
+    path = tmp_path / "ramp10.txt"
+    save_instance(inst, path)
+    report = tmp_path / "grover.jsonl"
+    assert main(["compare", str(path), "--c-tol", "1023", "--strategy", "grover:100000",
+                 "-o", str(report)]) == 0
+    rec = read_records(report)[1][0]
+    assert (rec["m"], rec["iterations"]) == (1023, 100_000)
+    assert abs(rec["success_probability"] - rec["closed_form"]) <= 1e-10
+
+
 def test_compare_strategy_table_order(tmp_path):
     demo = write_demo(tmp_path)
     report = tmp_path / "order.jsonl"
@@ -264,6 +277,10 @@ MALFORMED_ARGV = {
     "grover_not_a_number": ["compare", "{demo}", "--c-tol", "3", "--strategy", "grover:x"],
     "grover_not_a_number_after_hillclimb": ["compare", "{demo}", "--c-tol", "3", "--strategy",
                                             "hillclimb,grover:x"],
+    "grover_over_cap": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                        f"grover:{GROVER_T_MAX + 1}"],
+    "grover_past_int_digit_limit": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                    "grover:" + "9" * 5000],
     "compare_n_anc_zero_without_postselect": ["compare", "{demo}", "--c-tol", "3",
                                               "--strategy", "random", "--n-anc", "0"],
     "verify_nan_c_tol": ["verify", "{demo}", "--c-tol", "nan"],

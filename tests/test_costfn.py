@@ -135,6 +135,20 @@ def test_round_trip_bit_exact(tmp_path, suffix):
     assert np.array_equal(loaded.costs, inst.costs)
 
 
+def test_text_load_ignores_line_endings_and_trailing_blank_lines(tmp_path):
+    costs = [0.1 + 0.2, 1 / 3, -7.25e-17, 9.0, 1e300, -2.5, np.pi, 4.0]
+    inst = generate("explicit", {"costs": costs})
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    text = path.read_text()
+    crlf = text.replace("\n", "\r\n")
+    for variant in (crlf, text + "\n\n  \n", crlf + "\r\n\r\n"):
+        path.write_bytes(variant.encode())
+        loaded = load_instance(path)
+        assert loaded.n_data == inst.n_data
+        assert np.array_equal(loaded.costs, inst.costs)
+
+
 def test_json_preserves_provenance(tmp_path):
     inst = generate("uniform_random", {"n_data": 4}, seed=13)
     path = tmp_path / "inst.json"
