@@ -122,7 +122,9 @@ def encoded_state(instance: CostInstance, config: RunConfig) -> StateVector:
 
 def _born_grid(instance: CostInstance, config: RunConfig) -> np.ndarray:
     """Born probabilities P[k, a] = |amp(k, a)|^2 of the encoded state."""
-    return np.abs(encoded_state(instance, config).grid()) ** 2
+    probs = np.abs(encoded_state(instance, config).grid())
+    probs *= probs
+    return probs
 
 
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
@@ -186,9 +188,13 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     probs = _born_grid(instance, config)
     anc = probs.sum(0)
     live = anc > EPS_PROB
-    rebuilt = np.zeros_like(probs)
-    rebuilt[:, live] = anc[live] * (probs[:, live] / anc[live])
-    return 0.5 * float(np.abs(probs - rebuilt).sum())
+    # a dead column divides by inf and rebuilds to 0; then |rebuilt - probs|
+    # in the same buffer
+    rebuilt = probs / np.where(live, anc, np.inf)
+    rebuilt *= anc
+    rebuilt -= probs
+    np.abs(rebuilt, out=rebuilt)
+    return 0.5 * float(rebuilt.sum())
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

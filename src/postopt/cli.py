@@ -56,6 +56,8 @@ SWEEP_KINDS = ("uniform_random", "number_partition", "hamming_structured")
 SWEEP_QUANTILES = (0.1, 0.25, 0.5, 0.9)
 TABLE_N_MAX = 20  # explicit cost tables stop being practical past 2**20 entries
 GROVER_T_MAX = 10**7  # grover:<t> steps cost O(t); 10^7 of them take about 3 s
+BUDGET_MAX = 10**7  # postselect draws --budget ancilla outcomes in one array, ~256 MiB at the cap
+REPEATS_MAX = 10**5  # compare runs every strategy --repeats times
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,10 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
                            f"t <= {GROVER_T_MAX}")
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--encoder", help="encoder for the postselect strategy (default cospow:1)")
-    cmp_.add_argument("--repeats", type=int, default=32, help="independent runs per strategy")
+    cmp_.add_argument("--repeats", type=int, default=32,
+                      help=f"independent runs per strategy, at most {REPEATS_MAX}")
     cmp_.add_argument("--budget", type=int, default=10_000,
                       help="per-run budget: draws (random), preparations (postselect), "
-                           "cost evaluations, approximately (hillclimb)")
+                           f"cost evaluations, approximately (hillclimb); at most {BUDGET_MAX}")
 
     return parser
 
@@ -419,8 +422,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     strategies = _parse_strategies(args.strategy)
     if all(spec != "postselect" for spec, _ in strategies):
         _refuse_unread(args, ("encoder", "junk", "n_anc"), "without the postselect strategy")
-    if args.repeats < 1 or args.budget < 1:
-        raise ConfigurationError("--repeats and --budget must be >= 1")
+    if not 1 <= args.repeats <= REPEATS_MAX:
+        raise ConfigurationError(f"--repeats must lie in [1, {REPEATS_MAX}]")
+    if not 1 <= args.budget <= BUDGET_MAX:
+        raise ConfigurationError(f"--budget must lie in [1, {BUDGET_MAX}]")
     config = _run_config(args, "cospow:1", max_preparations=args.budget)
     instance = load_instance(args.instance)
     _check_capacity(instance, config)

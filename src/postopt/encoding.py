@@ -127,9 +127,11 @@ def encode(
     """Entangle the ancilla with the cost of each data state.
 
     `state` must be the uniform superposition with ancilla 0...0 over the
-    same data register as `instance`.  Output amplitude on |k, 0...0> is
-    a_k/sqrt(N); the failure weight goes to nonzero ancilla outcomes per the
-    junk policy.
+    same data register as `instance`: its amplitudes must equal those of
+    `uniform_superposition(state.layout)` exactly, or else within NORM_ATOL
+    elementwise (`np.allclose`); anything else raises ConfigurationError.
+    Output amplitude on |k, 0...0> is a_k/sqrt(N); the failure weight goes to
+    nonzero ancilla outcomes per the junk policy.
     """
     layout = state.layout
     if layout.n_data != instance.n_data:
@@ -137,7 +139,8 @@ def encode(
             f"state has n_data={layout.n_data} but instance has n_data={instance.n_data}"
         )
     expected = uniform_superposition(layout)
-    if not np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL):
+    if not (np.array_equal(state.amplitudes, expected.amplitudes)
+            or np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)):
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
     amps = instance_amplitudes(encoder, instance)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,32 @@ def test_sequential_vs_joint_examples():
 def test_sequential_vs_joint_random_sweep():
     for inst, config in random_configurations(40, seed=29):
         assert sequential_vs_joint_check(inst, config) <= 1e-10
+
+
+def _tv_masked_rebuild(inst, config):
+    """The TV distance as a masked column rebuild on fresh arrays: the in-place reference."""
+    probs = np.abs(encoded_state(inst, config).grid()) ** 2
+    anc = probs.sum(0)
+    live = anc > EPS_PROB
+    rebuilt = np.zeros_like(probs)
+    rebuilt[:, live] = anc[live] * (probs[:, live] / anc[live])
+    return 0.5 * float(np.abs(probs - rebuilt).sum())
+
+
+@pytest.mark.parametrize("junk", list(JunkPolicy))
+@pytest.mark.parametrize("n_anc", [1, 2, 3])
+def test_sequential_vs_joint_equals_masked_rebuild_bit_for_bit(junk, n_anc):
+    cases = [(inst, replace(config, junk=junk, n_anc=n_anc))
+             for inst, config in random_configurations(25, seed=100 * n_anc + len(junk.value))]
+    cases.append((demo(), RunConfig(c_tol=3.0, encoder=IDENTITY, junk=junk, n_anc=n_anc)))
+    below_min = AmplitudeEncoder.oracle_threshold(0.5)  # every a_k = 0: column 0 is dead
+    cases.append((demo(), RunConfig(c_tol=3.0, encoder=below_min, junk=junk, n_anc=n_anc)))
+    nonzero = 0
+    for inst, config in cases:
+        tv = sequential_vs_joint_check(inst, config)
+        assert tv == _tv_masked_rebuild(inst, config)
+        nonzero += tv > 0.0
+    assert nonzero >= len(cases) // 4  # most cases carry float residue to compare
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from postopt.cli import GROVER_T_MAX, TABLE_N_MAX, check_configuration, main
+from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, TABLE_N_MAX, check_configuration,
+                         main)
 from postopt.costfn import generate, hamming_distances, load_instance, save_instance
 
 
@@ -308,6 +309,11 @@ MALFORMED_ARGV = {
     "compare_qubits_over_cap_before_hillclimb": ["compare", "{demo}", "--c-tol", "3", "--strategy",
                                                  "hillclimb,postselect", "--n-anc", "30"],
     "verify_qubits_over_cap": ["verify", "{demo}", "--c-tol", "3", "--n-anc", "30"],
+    # oversized requests: postselect allocates --budget draws, compare --repeats seeds
+    "compare_budget_over_cap": ["compare", "{demo}", "--c-tol", "3", "--strategy", "postselect",
+                                "--repeats", "1", "--budget", str(BUDGET_MAX + 1)],
+    "compare_repeats_over_cap": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random",
+                                 "--budget", "1", "--repeats", str(REPEATS_MAX + 1)],
     # run with TABLE_N_MAX patched to 2, below the n=3 demo file
     "loaded_file_over_cap_verify": ["verify", "{demo}", "--c-tol", "3"],
     "loaded_file_over_cap_compare": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random"],
@@ -323,7 +329,7 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
         raise AssertionError("work started before the arguments were validated")
 
     for name in ("generate", "sweep_configurations", "random_search", "hill_climb",
-                 "grover_simulate", "exact_analysis"):
+                 "grover_simulate", "exact_analysis", "run_repeat_until_success"):
         monkeypatch.setattr(cli, name, forbidden)
     if case.startswith("loaded_file_over_cap"):
         monkeypatch.setattr(cli, "TABLE_N_MAX", 2)

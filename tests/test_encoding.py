@@ -10,7 +10,7 @@ from postopt.encoding import (
     success_amplitude,
 )
 from postopt.errors import ConfigurationError, DomainError
-from postopt.statevec import ANCILLA, DATA, RegisterLayout, marginal_distribution, \
+from postopt.statevec import ANCILLA, DATA, RegisterLayout, StateVector, marginal_distribution, \
     marginal_probability, postselect, uniform_superposition
 
 ENCODERS = [
@@ -197,3 +197,23 @@ def test_encode_rejects_non_initial_state():
     state, _ = encoded([1.0, 2.0], AmplitudeEncoder.cosine_power(1))  # not |psi_0>
     with pytest.raises(ConfigurationError):
         encode(state, inst, AmplitudeEncoder.identity())
+
+
+def test_encode_checks_its_input_with_the_uniform_state_cached():
+    inst = generate("uniform_random", {"n_data": 3}, seed=4)
+    layout = RegisterLayout(3, 2)
+    uniform = uniform_superposition(layout)
+    junk_only = np.zeros((layout.data_dim, layout.anc_dim), dtype=complex)
+    junk_only[:, 1] = 1.0 / np.sqrt(layout.data_dim)
+    with pytest.raises(ConfigurationError):
+        encode(StateVector(layout, junk_only.reshape(-1)), inst, AmplitudeEncoder.identity())
+    assert uniform_superposition(layout) is uniform  # the refusal ran against the cached state
+
+    # within NORM_ATOL but not equal: accepted through the allclose fallback
+    amps = uniform.amplitudes.copy()
+    amps[0] += 1e-13
+    perturbed = StateVector(layout, amps)
+    assert not np.array_equal(perturbed.amplitudes, uniform.amplitudes)
+    enc = AmplitudeEncoder.cosine_power(2)
+    out = encode(perturbed, inst, enc, JunkPolicy.SPREAD)
+    assert np.array_equal(out.amplitudes, encode(uniform, inst, enc, JunkPolicy.SPREAD).amplitudes)

@@ -66,6 +66,25 @@ def test_state_is_immutable():
         state.amplitudes[0] = 0.3
 
 
+def test_norm_check_conjugates_complex_amplitudes():
+    # sum(a * a) without the conjugate would read sum(exp(2i theta)) / D, far from 1
+    layout = RegisterLayout(4, 2)
+    theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=layout.total_dim)
+    StateVector(layout, np.exp(1j * theta) / np.sqrt(layout.total_dim))
+
+
+@pytest.mark.parametrize("deviation, accepted", [
+    (2e-10, False), (-2e-10, False), (5e-11, True), (-5e-11, True)])
+def test_norm_check_tolerance(deviation, accepted):
+    layout = RegisterLayout(3, 2)
+    amps = random_state(layout, np.random.default_rng(9)).amplitudes * (1.0 + deviation)
+    if accepted:
+        StateVector(layout, amps)
+    else:
+        with pytest.raises(DomainError):
+            StateVector(layout, amps)
+
+
 # ---------------------------------------------------------------------------
 # uniform superposition
 
@@ -84,6 +103,13 @@ def test_uniform_superposition_1_1():
 def test_uniform_superposition_norm_large():
     state = uniform_superposition(RegisterLayout(12, 2))
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+def test_uniform_superposition_is_shared_for_a_layout():
+    state = uniform_superposition(RegisterLayout(3, 2))
+    assert uniform_superposition(RegisterLayout(3, 2)) is state
+    with pytest.raises(ValueError):
+        state.amplitudes[1] = 0.5
 
 
 # ---------------------------------------------------------------------------
