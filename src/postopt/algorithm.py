@@ -43,6 +43,7 @@ from .statevec import EPS_PROB, RegisterLayout, StateVector, uniform_superpositi
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
 SIGMA_BAND = 5.0
+ROW_BLOCK = 1 << 12  # Born grid rows squared at a time where the full grid is not kept
 
 
 @dataclass(frozen=True)
@@ -127,20 +128,35 @@ def _born_grid(instance: CostInstance, config: RunConfig) -> np.ndarray:
     return probs
 
 
+def _accept_column(grid: np.ndarray) -> np.ndarray:
+    """The ancilla-0 Born column P[:, 0], without squaring the other columns."""
+    accept = np.abs(grid[:, 0])
+    accept *= accept
+    return accept
+
+
+def _born_blocks(grid: np.ndarray):
+    """(rows, P[rows]) over the Born grid, ROW_BLOCK rows at a time."""
+    for start in range(0, len(grid), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        probs = np.abs(grid[rows])
+        probs *= probs
+        yield rows, probs
+
+
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     """Success probabilities of one attempt, from the exact amplitudes."""
-    probs = _born_grid(instance, config)
+    accept = _accept_column(encoded_state(instance, config).grid())
     n = instance.size
     m = count_below(instance, config.c_tol)
     low = instance.costs < config.c_tol
 
-    p_first = float(probs[:, 0].sum())
+    p_first = float(accept.sum())
     if p_first <= EPS_PROB:
-        # acceptance never happens; the conditional is undefined.  Copy the
-        # column: a view would keep the whole grid alive with the result.
-        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, probs[:, 0].copy())
+        # acceptance never happens; the conditional is undefined
+        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, accept)
 
-    cond_data = probs[:, 0] / p_first
+    cond_data = accept / p_first
     p_cond = float(cond_data[low].sum())
     products = p_first * cond_data
     return ExactAnalysis(p_first, p_cond, p_first * p_cond, m, n, m / n, products)
@@ -153,23 +169,26 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     state, p(A & B) = (M/N) * p(B|A) <= M/N, which is the entire reason the
     scheme cannot beat random search.
     """
-    probs = _born_grid(instance, config)
+    grid = encoded_state(instance, config).grid()
+    accept = _accept_column(grid)
     low = instance.costs < config.c_tol
-    direct = float(probs[low, 0].sum())
+    direct = float(accept[low].sum())
 
-    p_first = float(probs[:, 0].sum())
+    p_first = float(accept.sum())
     via_ancilla = None
     if p_first > EPS_PROB:
-        p_a_given_b = float((probs[:, 0] / p_first)[low].sum())
+        p_a_given_b = float((accept / p_first)[low].sum())
         via_ancilla = p_a_given_b * p_first
 
     via_cost = None
     p_b_given_a = None
     if low.any():
-        data_marg = probs.sum(1)
+        data_marg = np.empty(len(grid))  # row sums of the Born grid, a block at a time
+        for rows, probs in _born_blocks(grid):
+            probs.sum(1, out=data_marg[rows])
         p_a = float(data_marg[low].sum())
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_b_given_k = np.where(data_marg > EPS_PROB, probs[:, 0] / data_marg, 0.0)
+        cond_b_given_k = np.divide(accept, data_marg, out=np.zeros_like(data_marg),
+                                   where=data_marg > EPS_PROB)
         p_b_given_a = float((data_marg[low] * cond_b_given_k[low]).sum()) / p_a
         via_cost = p_b_given_a * p_a
 
@@ -184,15 +203,20 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     conditional, column by column over ancilla outcomes.  The law of total
     probability says the distance is zero; the contract allows 1e-10 of
     float slack.
+
+    One full-size float buffer: it starts as the Born grid, is rebuilt in
+    place, and the Born grid is squared again a block of rows at a time to
+    subtract.  A dead column divides by inf and rebuilds to 0.
     """
-    probs = _born_grid(instance, config)
-    anc = probs.sum(0)
+    grid = encoded_state(instance, config).grid()
+    rebuilt = np.abs(grid)
+    rebuilt *= rebuilt
+    anc = rebuilt.sum(0)
     live = anc > EPS_PROB
-    # a dead column divides by inf and rebuilds to 0; then |rebuilt - probs|
-    # in the same buffer
-    rebuilt = probs / np.where(live, anc, np.inf)
+    rebuilt /= np.where(live, anc, np.inf)
     rebuilt *= anc
-    rebuilt -= probs
+    for rows, probs in _born_blocks(grid):
+        rebuilt[rows] -= probs
     np.abs(rebuilt, out=rebuilt)
     return 0.5 * float(rebuilt.sum())
 

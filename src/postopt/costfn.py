@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .statevec import read_only_view
 
 @dataclass(frozen=True)
 class CostInstance:
@@ -24,18 +25,18 @@ class CostInstance:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        costs = np.asarray(self.costs, dtype=float)
+        costs = np.ascontiguousarray(self.costs, dtype=float)
         if self.n_data < 1:
             raise DomainError(f"need n_data >= 1, got {self.n_data}")
-        if costs.shape != (1 << self.n_data,):
+        # bit lengths first: for a huge header, 1 << n_data is itself a huge integer
+        if costs.size.bit_length() != self.n_data + 1 or costs.shape != (1 << self.n_data,):
             raise DomainError(
-                f"expected {1 << self.n_data} costs for n_data={self.n_data}, "
+                f"expected 2**{self.n_data} costs for n_data={self.n_data}, "
                 f"got shape {costs.shape}"
             )
         if not np.all(np.isfinite(costs)):
             raise DomainError("costs must all be finite")
-        costs.flags.writeable = False
-        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "costs", read_only_view(costs))
 
     @property
     def size(self) -> int:
@@ -163,7 +164,8 @@ def load_instance(path: str | Path) -> CostInstance:
                 np.asarray(payload["costs"], dtype=float),
                 dict(payload.get("provenance", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        # JSONDecodeError is a ValueError; int() of an infinite n_data raises OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
     header, _, body = stripped.partition("\n")
     if not header.startswith("n_data="):

@@ -118,6 +118,12 @@ def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np
     return _amplitudes(encoder, costs, shifted, float(shifted.max()))
 
 
+# The last call's (state, instance, encoder, junk, result), as one tuple so a
+# reader never pairs a new key with an old result.  It holds the state and the
+# instance, so their ids cannot be reused while it stands.
+_last_encoding: tuple | None = None
+
+
 def encode(
     state: StateVector,
     instance: CostInstance,
@@ -132,7 +138,19 @@ def encode(
     elementwise (`np.allclose`); anything else raises ConfigurationError.
     Output amplitude on |k, 0...0> is a_k/sqrt(N); the failure weight goes to
     nonzero ancilla outcomes per the junk policy.
+
+    The result of the last call is kept and returned again, the same object,
+    while the call repeats: the same `state` and `instance` objects (`is`;
+    both are immutable) and an equal encoder and junk policy.  Any other call
+    drops it before it checks its input and builds a new state.
     """
+    global _last_encoding
+    last = _last_encoding
+    if (last is not None and last[0] is state and last[1] is instance
+            and last[2] == encoder and last[3] == junk):
+        return last[4]
+    _last_encoding = last = None  # free the old state before building the next
+
     layout = state.layout
     if layout.n_data != instance.n_data:
         raise ConfigurationError(
@@ -155,4 +173,6 @@ def encode(
         grid[:, 1:] = (fail / root_n / np.sqrt(layout.anc_dim - 1))[:, None]
     else:
         raise ConfigurationError(f"unknown junk policy {junk!r}")
-    return StateVector(layout, grid.reshape(-1))
+    encoded = StateVector(layout, grid.reshape(-1))
+    _last_encoding = (state, instance, encoder, junk, encoded)
+    return encoded

@@ -14,10 +14,12 @@ conditional states and outcome distributions; they are the independent
 reference that the tests compare `algorithm` against.
 
 All operations are pure: they never mutate their inputs.  Amplitude arrays
-are marked read-only so states can be shared across concurrent tasks.
-`uniform_superposition` shares its result: it keeps the state of the last
-layout it was asked for alive and returns that same object while the layout
-repeats, at most 256 MiB at the 24-qubit cap.
+are read-only views that cannot be made writable again, so states can be
+shared across concurrent tasks.  States are shared between calls:
+`uniform_superposition` keeps the uniform state of the last layout, and
+`encoding.encode` keeps the last encoded state with the input state it was
+built from.  On the production path that input is the kept uniform state, so
+up to two states stay alive, at most 512 MiB at the 24-qubit cap.
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ DEFAULT_QUBIT_CAP = 24  # 2**24 complex amplitudes ~ 256 MB, the desk-scale limi
 
 DATA = "data"
 ANCILLA = "ancilla"
+
+
+def read_only_view(a: np.ndarray) -> np.ndarray:
+    """A view of the contiguous 1-D array `a` that cannot be made writable again.
+
+    `a` itself is marked read-only.  The view's base is a read-only
+    memoryview, so neither setting `flags.writeable` nor writing through
+    `.base` succeeds.  No data is copied.
+    """
+    a.flags.writeable = False
+    return np.frombuffer(memoryview(a).toreadonly(), a.dtype)
 
 
 @dataclass(frozen=True)
@@ -86,7 +99,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.layout.total_dim,):
             raise DomainError(
                 f"expected {self.layout.total_dim} amplitudes, got shape {amps.shape}"
@@ -94,8 +107,7 @@ class StateVector:
         norm = np.sqrt(np.vdot(amps, amps).real)  # one pass; NaN stays NaN
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise DomainError(f"state norm {norm} deviates from 1 by more than {NORM_ATOL}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", read_only_view(amps))
 
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to (data_dim, anc_dim); row k, column a = |k, a>."""

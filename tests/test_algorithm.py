@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import postopt.algorithm as algorithm
 from postopt.algorithm import (
     RunConfig,
     chain_decomposition,
@@ -283,18 +284,77 @@ def _tv_masked_rebuild(inst, config):
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
 @pytest.mark.parametrize("n_anc", [1, 2, 3])
-def test_sequential_vs_joint_equals_masked_rebuild_bit_for_bit(junk, n_anc):
+def test_sequential_vs_joint_equals_masked_rebuild_bit_for_bit(junk, n_anc, monkeypatch):
     cases = [(inst, replace(config, junk=junk, n_anc=n_anc))
              for inst, config in random_configurations(25, seed=100 * n_anc + len(junk.value))]
     cases.append((demo(), RunConfig(c_tol=3.0, encoder=IDENTITY, junk=junk, n_anc=n_anc)))
     below_min = AmplitudeEncoder.oracle_threshold(0.5)  # every a_k = 0: column 0 is dead
     cases.append((demo(), RunConfig(c_tol=3.0, encoder=below_min, junk=junk, n_anc=n_anc)))
+    # 2**16 rows: many row blocks at the default ROW_BLOCK
+    big = generate("uniform_random", {"n_data": 16}, seed=7 * n_anc)
+    cases.append((big, RunConfig(c_tol=0.1, encoder=AmplitudeEncoder.cosine_power(2),
+                                 junk=junk, n_anc=n_anc)))
+    assert big.size >= 3 * algorithm.ROW_BLOCK
     nonzero = 0
     for inst, config in cases:
-        tv = sequential_vs_joint_check(inst, config)
-        assert tv == _tv_masked_rebuild(inst, config)
+        want = _tv_masked_rebuild(inst, config)
+        # the default blocks, then 3-row blocks: many per case, the last one short
+        for block in (algorithm.ROW_BLOCK, 3):
+            monkeypatch.setattr(algorithm, "ROW_BLOCK", block)
+            tv = sequential_vs_joint_check(inst, config)
+            assert tv == want
+        monkeypatch.undo()
         nonzero += tv > 0.0
     assert nonzero >= len(cases) // 4  # most cases carry float residue to compare
+
+
+def _full_grid_reads(inst, config):
+    """exact_analysis's and chain_decomposition's numbers off the full Born grid.
+
+    The reference for the column-0 and row-block reads: the same formulas on
+    one full-size array.
+    """
+    probs = np.abs(encoded_state(inst, config).grid())
+    probs *= probs
+    low = inst.costs < config.c_tol
+    p_first = float(probs[:, 0].sum())
+    exact = (p_first, None, 0.0, probs[:, 0].copy())
+    via_ancilla = None
+    if p_first > EPS_PROB:
+        cond_data = probs[:, 0] / p_first
+        p_cond = float(cond_data[low].sum())
+        exact = (p_first, p_cond, p_first * p_cond, p_first * cond_data)
+        via_ancilla = float((probs[:, 0] / p_first)[low].sum()) * p_first
+    via_cost = p_b_given_a = None
+    if low.any():
+        data_marg = probs.sum(1)
+        p_a = float(data_marg[low].sum())
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond_b_given_k = np.where(data_marg > EPS_PROB, probs[:, 0] / data_marg, 0.0)
+        p_b_given_a = float((data_marg[low] * cond_b_given_k[low]).sum()) / p_a
+        via_cost = p_b_given_a * p_a
+    chain = (float(probs[low, 0].sum()), via_ancilla, via_cost, p_b_given_a)
+    return exact, chain
+
+
+def test_exact_and_chain_equal_full_grid_reads_bit_for_bit(monkeypatch):
+    cases = random_configurations(60, seed=808)
+    cases.append((demo(), RunConfig(c_tol=3.0, encoder=AmplitudeEncoder.oracle_threshold(0.5))))
+    cases.append((demo(), RunConfig(c_tol=0.5, encoder=IDENTITY, n_anc=2)))  # M = 0
+    for n_anc, junk in ((1, JunkPolicy.CONCENTRATED), (3, JunkPolicy.SPREAD)):
+        big = generate("hamming_structured", {"n_data": 16}, seed=n_anc)  # many row blocks
+        cases.append((big, RunConfig(c_tol=float(np.quantile(big.costs, 0.25)),
+                                     encoder=AmplitudeEncoder.linear(), junk=junk, n_anc=n_anc)))
+    for inst, config in cases:
+        (p_first, p_cond, p_joint, products), chain_want = _full_grid_reads(inst, config)
+        for block in (algorithm.ROW_BLOCK, 3):
+            monkeypatch.setattr(algorithm, "ROW_BLOCK", block)
+            ana = exact_analysis(inst, config)
+            assert (ana.p_first, ana.p_cond, ana.p_joint) == (p_first, p_cond, p_joint)
+            assert np.array_equal(ana.per_state_products, products)
+            chain = chain_decomposition(inst, config)
+            assert (chain.direct, chain.via_ancilla, chain.via_cost, chain.p_b_given_a) == chain_want
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from postopt.algorithm import RunConfig
 from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, TABLE_N_MAX, check_configuration,
                          main)
-from postopt.costfn import generate, hamming_distances, load_instance, save_instance
+from postopt.costfn import (CostInstance, generate, hamming_distances, load_instance,
+                            save_instance)
+from postopt.encoding import AmplitudeEncoder, JunkPolicy
 
 
 def read_records(path):
@@ -168,6 +173,81 @@ def test_verify_exits_1_on_violated_claim(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one dense encoding per configuration
+
+def count_amplitude_builds(monkeypatch):
+    """Count calls of encoding.instance_amplitudes: one per dense state `encode` builds."""
+    import postopt.encoding as encoding
+
+    calls = []
+    original = encoding.instance_amplitudes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(encoding, "instance_amplitudes", counted)
+    return calls
+
+
+def test_one_verify_record_builds_one_encoding(monkeypatch):
+    calls = count_amplitude_builds(monkeypatch)
+    inst = generate("uniform_random", {"n_data": 5}, seed=3)
+    config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2), n_anc=2)
+    assert check_configuration(inst, config, "k", {})["ok"]
+    assert len(calls) == 1
+
+
+def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkeypatch):
+    calls = count_amplitude_builds(monkeypatch)
+    demo = write_demo(tmp_path)
+    assert main(["compare", str(demo), "--c-tol", "3", "--strategy", "postselect",
+                 "--repeats", "5", "--budget", "200"]) == 0
+    assert len(calls) == 1
+
+
+@st.composite
+def memo_configurations(draw):
+    """Configurations A and B: B keeps or redraws each of A's encode key parts."""
+    def instance():
+        n_data = draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(["uniform_random", "hamming_structured"]))
+        return generate(kind, {"n_data": n_data}, draw(st.integers(0, 2**16)))
+
+    encoders = st.sampled_from(["identity", "oracle:0.5", "cospow:0.5", "cospow:2", "linear"])
+    inst_a = instance()
+    enc_a, junk_a, n_anc_a = draw(encoders), draw(st.sampled_from(list(JunkPolicy))), draw(
+        st.integers(1, 3))
+    inst_b = draw(st.sampled_from([
+        lambda: inst_a,
+        lambda: CostInstance(inst_a.n_data, inst_a.costs.copy()),  # equal costs, another object
+        instance,
+    ]))()
+    enc_b = enc_a if draw(st.booleans()) else draw(encoders)
+    junk_b = junk_a if draw(st.booleans()) else next(j for j in JunkPolicy if j != junk_a)
+    n_anc_b = n_anc_a if draw(st.booleans()) else draw(st.integers(1, 3))
+
+    def config(inst, spec, junk, n_anc):
+        c_tol = float(np.quantile(inst.costs, draw(st.sampled_from([0.1, 0.5, 0.9]))))
+        return RunConfig(c_tol=c_tol, encoder=AmplitudeEncoder.parse(spec), junk=junk, n_anc=n_anc)
+
+    return ((inst_a, config(inst_a, enc_a, junk_a, n_anc_a)),
+            (inst_b, config(inst_b, enc_b, junk_b, n_anc_b)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(memo_configurations())
+def test_memoized_records_equal_records_built_afresh(pair):
+    import postopt.encoding as encoding
+
+    a, b = pair
+    for inst, config in (a, b, a):
+        record = check_configuration(inst, config, "k", {})
+        encoding._last_encoding = None
+        assert record == check_configuration(inst, config, "k", {})
+
+
+# ---------------------------------------------------------------------------
 # compare
 
 def test_compare_postselect_never_beats_random(tmp_path):
@@ -290,6 +370,10 @@ MALFORMED_ARGV = {
     "sweep_n_over_cap": ["verify", "--sweep", "2", "--n", str(TABLE_N_MAX + 1)],
     "json_cost_not_a_number": ["verify", "{bad_costs}", "--c-tol", "1"],
     "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
+    # a header past int's 4300-digit str limit, 2**n_data as a huge integer, int(inf)
+    "text_n_data_oversized": ["verify", "{huge_text}", "--c-tol", "0.3"],
+    "json_n_data_oversized": ["verify", "{huge_json}", "--c-tol", "0.3"],
+    "json_n_data_infinite": ["verify", "{inf_json}", "--c-tol", "0.3"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
     # a sweep draws its own encoder, c_tol, junk policy and n_anc; a file has no --n to cap
@@ -337,7 +421,13 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
     bad_costs.write_text('{"n_data": 1, "costs": ["a", 1]}')
     bad_n_data = tmp_path / "bad_n_data.json"
     bad_n_data.write_text('{"n_data": "x", "costs": [0, 1]}')
+    huge = {"huge_text": "n_data=20000\n0.5 0.25\n",
+            "huge_json": '{"n_data": 1000000000, "costs": [0.5, 0.25]}',
+            "inf_json": '{"n_data": 1e400, "costs": [0.5, 0.25]}'}
     paths = {"demo": write_demo(tmp_path), "bad_costs": bad_costs,
              "bad_n_data": bad_n_data, "out": tmp_path / "out.txt"}
+    for name, text in huge.items():
+        paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"
+        paths[name].write_text(text)
     argv = [arg.format(**paths) for arg in MALFORMED_ARGV[case]]
     assert main(argv) == 2

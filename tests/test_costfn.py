@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,18 @@ def test_instance_validation():
         CostInstance(2, np.array([1.0, 2.0, np.inf, 0.0]))
     with pytest.raises(DomainError):
         CostInstance(3, np.array([1.0, 2.0]))
+
+
+def test_oversized_n_data_is_refused_without_building_two_to_the_n():
+    # 1 << 10**9 alone is a 125 MB integer; the shape check must not form it
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"2\*\*1000000000 costs"):
+            CostInstance(10**9, [0.5, 0.25])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import postopt.encoding as encoding_module
 from postopt.costfn import count_below, generate
 from postopt.encoding import (
     AmplitudeEncoder,
@@ -217,3 +218,59 @@ def test_encode_checks_its_input_with_the_uniform_state_cached():
     enc = AmplitudeEncoder.cosine_power(2)
     out = encode(perturbed, inst, enc, JunkPolicy.SPREAD)
     assert np.array_equal(out.amplitudes, encode(uniform, inst, enc, JunkPolicy.SPREAD).amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# the encode memo
+
+def encode_args():
+    """The uniform state of the (3, 2) layout and an n_data=3 instance."""
+    return uniform_superposition(RegisterLayout(3, 2)), generate("uniform_random", {"n_data": 3},
+                                                                  seed=4)
+
+
+def test_encode_returns_the_last_result_for_the_same_arguments():
+    state, inst = encode_args()
+    enc = AmplitudeEncoder.cosine_power(2)
+    first = encode(state, inst, enc, JunkPolicy.SPREAD)
+    assert encode(state, inst, AmplitudeEncoder.parse("cospow:2"), JunkPolicy.SPREAD) is first
+
+
+@pytest.mark.parametrize("change", ["instance", "encoder", "junk", "layout"])
+def test_encode_builds_afresh_when_a_key_part_changes(change):
+    state, inst = encode_args()
+    enc, junk = AmplitudeEncoder.cosine_power(2), JunkPolicy.CONCENTRATED
+    first = encode(state, inst, enc, junk)
+    if change == "instance":  # equal costs, another object
+        inst = generate("uniform_random", {"n_data": 3}, seed=4)
+    elif change == "encoder":
+        enc = AmplitudeEncoder.linear()
+    elif change == "junk":
+        junk = JunkPolicy.SPREAD
+    else:
+        state = uniform_superposition(RegisterLayout(3, 3))
+    second = encode(state, inst, enc, junk)
+    assert second is not first
+    encoding_module._last_encoding = None
+    assert np.array_equal(second.amplitudes, encode(state, inst, enc, junk).amplitudes)
+
+
+@pytest.mark.parametrize("shared", ["uniform", "encoded", "costs"])
+def test_shared_arrays_cannot_be_made_writable_again(shared):
+    state, inst = encode_args()
+    enc = AmplitudeEncoder.linear()
+    arrays = {"uniform": state.amplitudes, "encoded": encode(state, inst, enc).amplitudes,
+              "costs": inst.costs}
+    x = arrays[shared]
+    before = x.copy()
+    with pytest.raises(ValueError):
+        x.flags.writeable = True
+    assert isinstance(x.base, memoryview) and x.base.readonly
+    with pytest.raises((TypeError, NotImplementedError)):  # complex has no memoryview format
+        x.base[1] = 5
+    with pytest.raises(ValueError):
+        np.asarray(x.base).flags.writeable = True
+    assert np.array_equal(x, before)
+    assert encode(state, inst, enc) is encode(state, inst, enc)  # still accepted, still shared
+    encoding_module._last_encoding = None
+    encode(uniform_superposition(RegisterLayout(3, 2)), inst, enc)
