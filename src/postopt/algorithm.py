@@ -13,11 +13,13 @@ compares the two measurement orderings at the distribution level, and
 `run_repeat_until_success` is the sampled protocol.
 
 Every quantity is read off one array, the encoded state's Born grid
-P[k, a] = |amp(k, a)|^2: p_first is the ancilla-0 column sum, the
-post-selected data distribution is that column renormalized, and the two
-register marginals are the row and column sums.  The measurement functions
-in `statevec` (`postselect`, `marginal_*`, `joint_distribution`) compute the
-same quantities the long way; the tests hold this module to them.
+P[k, a] = |amp(k, a)|^2, squared as amp(k, a)^2 since the encoded amplitudes
+are real (x * x and |x| * |x| round alike): p_first is the ancilla-0 column
+sum, the post-selected data distribution is that column renormalized, and
+the two register marginals are the row and column sums.  The measurement
+functions in `statevec` (`postselect`, `marginal_*`, `joint_distribution`)
+compute the same quantities the long way; the tests hold this module to
+them.
 
 Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), a
 published, seedable algorithm, so sampled outcomes are reproducible for a
@@ -121,32 +123,16 @@ def encoded_state(instance: CostInstance, config: RunConfig) -> StateVector:
     return encode(uniform_superposition(layout), instance, config.encoder, config.junk)
 
 
-def _born_grid(instance: CostInstance, config: RunConfig) -> np.ndarray:
-    """Born probabilities P[k, a] = |amp(k, a)|^2 of the encoded state."""
-    probs = np.abs(encoded_state(instance, config).grid())
-    probs *= probs
-    return probs
-
-
-def _accept_column(grid: np.ndarray) -> np.ndarray:
-    """The ancilla-0 Born column P[:, 0], without squaring the other columns."""
-    accept = np.abs(grid[:, 0])
-    accept *= accept
-    return accept
-
-
 def _born_blocks(grid: np.ndarray):
     """(rows, P[rows]) over the Born grid, ROW_BLOCK rows at a time."""
     for start in range(0, len(grid), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        probs = np.abs(grid[rows])
-        probs *= probs
-        yield rows, probs
+        yield rows, np.square(grid[rows])
 
 
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     """Success probabilities of one attempt, from the exact amplitudes."""
-    accept = _accept_column(encoded_state(instance, config).grid())
+    accept = np.square(encoded_state(instance, config).grid()[:, 0])  # Born column P[:, 0]
     n = instance.size
     m = count_below(instance, config.c_tol)
     low = instance.costs < config.c_tol
@@ -170,7 +156,7 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     scheme cannot beat random search.
     """
     grid = encoded_state(instance, config).grid()
-    accept = _accept_column(grid)
+    accept = np.square(grid[:, 0])
     low = instance.costs < config.c_tol
     direct = float(accept[low].sum())
 
@@ -209,8 +195,7 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     subtract.  A dead column divides by inf and rebuilds to 0.
     """
     grid = encoded_state(instance, config).grid()
-    rebuilt = np.abs(grid)
-    rebuilt *= rebuilt
+    rebuilt = np.square(grid)
     anc = rebuilt.sum(0)
     live = anc > EPS_PROB
     rebuilt /= np.where(live, anc, np.inf)
@@ -241,7 +226,7 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     repeat-until-success episodes); `first_hit_preparation` records when the
     first episode would have stopped.  Deterministic for a fixed seed.
     """
-    probs = _born_grid(instance, config)
+    probs = np.square(encoded_state(instance, config).grid())
     data_dim, anc_dim = probs.shape
     rng = np.random.default_rng(config.seed)
     budget = config.max_preparations

@@ -169,13 +169,20 @@ def grover_state(instance: CostInstance, c_tol: float, iterations: int) -> np.nd
 
 
 def _grover_pair(size: int, m: int, iterations: int) -> tuple[float, float]:
-    """The (marked, unmarked) amplitudes after `iterations` Grover steps on N = size."""
+    """The (marked, unmarked) amplitudes after `iterations` Grover steps on N = size.
+
+    Each step's rounding moves the pair's norm m a^2 + (N - m) b^2 as well as
+    its angle; by t = 10^7 the norm alone can be 1e-12 off.  The steps keep the
+    norm exactly in exact arithmetic, so the pair is scaled back to norm 1 at
+    the end, which leaves only the angle's drift.
+    """
     a = b = 1.0 / math.sqrt(size)
     for _ in range(iterations):
         a = -a
         mean = (m * a + (size - m) * b) / size
         a, b = 2.0 * mean - a, 2.0 * mean - b
-    return a, b
+    norm = math.sqrt(m * a * a + (size - m) * b * b)
+    return a / norm, b / norm
 
 
 def grover_simulate(instance: CostInstance, c_tol: float, iterations: int) -> float:

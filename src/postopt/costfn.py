@@ -159,12 +159,17 @@ def load_instance(path: str | Path) -> CostInstance:
     if stripped.startswith("{"):
         try:
             payload = json.loads(stripped)
+            n_data = payload["n_data"]
+            # a JSON integer only, as the text form refuses n_data=2.0: int() would
+            # truncate 2.7 to 2, and true is an int in Python
+            if type(n_data) is not int:
+                raise TypeError(f"n_data must be an integer, got {n_data!r}")
             return CostInstance(
-                int(payload["n_data"]),
+                n_data,
                 np.asarray(payload["costs"], dtype=float),
                 dict(payload.get("provenance", {})),
             )
-        # JSONDecodeError is a ValueError; int() of an infinite n_data raises OverflowError
+        # JSONDecodeError is a ValueError; a cost integer past float range raises OverflowError
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
     header, _, body = stripped.partition("\n")

@@ -133,11 +133,13 @@ def encode(
     """Entangle the ancilla with the cost of each data state.
 
     `state` must be the uniform superposition with ancilla 0...0 over the
-    same data register as `instance`: its amplitudes must equal those of
-    `uniform_superposition(state.layout)` exactly, or else within NORM_ATOL
-    elementwise (`np.allclose`); anything else raises ConfigurationError.
-    Output amplitude on |k, 0...0> is a_k/sqrt(N); the failure weight goes to
-    nonzero ancilla outcomes per the junk policy.
+    same data register as `instance`: the object
+    `uniform_superposition(state.layout)` returns passes at once; any other
+    state's amplitudes must equal that state's exactly, or else within
+    NORM_ATOL elementwise (`np.allclose`); anything else raises
+    ConfigurationError.  Output amplitude on |k, 0...0> is a_k/sqrt(N); the
+    failure weight goes to nonzero ancilla outcomes per the junk policy.  All
+    of them are real, so the encoded state is a float64 grid.
 
     The result of the last call is kept and returned again, the same object,
     while the call repeats: the same `state` and `instance` objects (`is`;
@@ -157,7 +159,8 @@ def encode(
             f"state has n_data={layout.n_data} but instance has n_data={instance.n_data}"
         )
     expected = uniform_superposition(layout)
-    if not (np.array_equal(state.amplitudes, expected.amplitudes)
+    if state is not expected and not (
+            np.array_equal(state.amplitudes, expected.amplitudes)
             or np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)):
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
@@ -165,7 +168,7 @@ def encode(
     fail = np.sqrt(np.clip(1.0 - amps**2, 0.0, None))
     root_n = np.sqrt(layout.data_dim)
 
-    grid = np.zeros((layout.data_dim, layout.anc_dim), dtype=complex)
+    grid = np.zeros((layout.data_dim, layout.anc_dim))
     grid[:, 0] = amps / root_n
     if junk == JunkPolicy.CONCENTRATED:
         grid[:, 1] = fail / root_n

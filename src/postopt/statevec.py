@@ -13,13 +13,19 @@ Born grid |grid()|^2.  The measurement functions here -- `marginal_*`,
 conditional states and outcome distributions; they are the independent
 reference that the tests compare `algorithm` against.
 
+A state's dtype follows its amplitudes: complex input is stored as
+complex128, anything else as float64.  The uniform and encoded states have
+real amplitudes, so they are float64 grids, half the bytes of complex ones.
+
 All operations are pure: they never mutate their inputs.  Amplitude arrays
-are read-only views that cannot be made writable again, so states can be
-shared across concurrent tasks.  States are shared between calls:
-`uniform_superposition` keeps the uniform state of the last layout, and
-`encoding.encode` keeps the last encoded state with the input state it was
-built from.  On the production path that input is the kept uniform state, so
-up to two states stay alive, at most 512 MiB at the 24-qubit cap.
+are read-only views, so states can be shared across concurrent tasks.  The
+views guard against accidental writes only: ``x.base.obj`` still reaches the
+owning array, which numpy lets a caller mark writable again.  States are
+shared between calls: `uniform_superposition` keeps the uniform state of the
+last layout, and `encoding.encode` keeps the last encoded state with the
+input state it was built from.  On the production path that input is the
+kept uniform state, so up to two states stay alive, at most 256 MiB at the
+24-qubit cap.
 """
 
 from __future__ import annotations
@@ -37,18 +43,20 @@ from .errors import CapacityError, DomainError, ImpossibleOutcomeError
 NORM_ATOL = 1e-10
 EPS_PROB = 1e-12
 
-DEFAULT_QUBIT_CAP = 24  # 2**24 complex amplitudes ~ 256 MB, the desk-scale limit
+DEFAULT_QUBIT_CAP = 24  # 2**24 real amplitudes = 128 MiB per state, the desk-scale limit
 
 DATA = "data"
 ANCILLA = "ancilla"
 
 
 def read_only_view(a: np.ndarray) -> np.ndarray:
-    """A view of the contiguous 1-D array `a` that cannot be made writable again.
+    """A read-only view of the contiguous 1-D array `a`.
 
     `a` itself is marked read-only.  The view's base is a read-only
-    memoryview, so neither setting `flags.writeable` nor writing through
-    `.base` succeeds.  No data is copied.
+    memoryview, so neither setting the view's `flags.writeable` nor writing
+    through `.base` succeeds.  No data is copied.  This guards against
+    accidental writes only: `.base.obj` is `a`, which a caller can still mark
+    writable again.
     """
     a.flags.writeable = False
     return np.frombuffer(memoryview(a).toreadonly(), a.dtype)
@@ -93,13 +101,19 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over the composite (data, ancilla) basis."""
+    """Normalized amplitudes over the composite (data, ancilla) basis.
+
+    Stored as complex128 when the input is complex, float64 otherwise.  An
+    input that is already a contiguous array of that dtype is kept without a
+    copy and marked read-only.
+    """
 
     layout: RegisterLayout
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        amps = np.ascontiguousarray(amps, dtype=complex if np.iscomplexobj(amps) else float)
         if amps.shape != (self.layout.total_dim,):
             raise DomainError(
                 f"expected {self.layout.total_dim} amplitudes, got shape {amps.shape}"
@@ -154,7 +168,7 @@ def uniform_superposition(layout: RegisterLayout) -> StateVector:
     The state of the last layout is kept, so repeated calls return one shared
     object.
     """
-    grid = np.zeros((layout.data_dim, layout.anc_dim), dtype=complex)
+    grid = np.zeros((layout.data_dim, layout.anc_dim))
     grid[:, 0] = 1.0 / np.sqrt(layout.data_dim)
     return StateVector(layout, grid.reshape(-1))
 
@@ -202,7 +216,7 @@ def postselect(
         raise ImpossibleOutcomeError(
             f"{register}={outcome} has probability {prob} <= {eps}; cannot post-select"
         )
-    grid = np.zeros((state.layout.data_dim, state.layout.anc_dim), dtype=complex)
+    grid = np.zeros((state.layout.data_dim, state.layout.anc_dim), dtype=state.amplitudes.dtype)
     if register == DATA:
         grid[outcome, :] = state.grid()[outcome, :]
     else:

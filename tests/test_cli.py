@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, TABLE_N_MAX, che
 from postopt.costfn import (CostInstance, generate, hamming_distances, load_instance,
                             save_instance)
 from postopt.encoding import AmplitudeEncoder, JunkPolicy
+from postopt.statevec import RegisterLayout, uniform_superposition
 
 
 def read_records(path):
@@ -206,6 +208,21 @@ def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkey
     assert len(calls) == 1
 
 
+def test_one_verify_record_holds_at_most_three_real_grids():
+    # the uniform state, its encoding and the rebuilt TV grid, each float64, plus O(N)
+    inst = generate("uniform_random", {"n_data": 14}, seed=8)
+    config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2),
+                       junk=JunkPolicy.SPREAD, n_anc=3)
+    uniform_superposition.cache_clear()  # so the traced call builds the uniform state too
+    tracemalloc.start()
+    try:
+        assert check_configuration(inst, config, "k", {})["ok"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * RegisterLayout(14, 3).total_dim + 64 * inst.size
+
+
 @st.composite
 def memo_configurations(draw):
     """Configurations A and B: B keeps or redraws each of A's encode key parts."""
@@ -374,6 +391,9 @@ MALFORMED_ARGV = {
     "text_n_data_oversized": ["verify", "{huge_text}", "--c-tol", "0.3"],
     "json_n_data_oversized": ["verify", "{huge_json}", "--c-tol", "0.3"],
     "json_n_data_infinite": ["verify", "{inf_json}", "--c-tol", "0.3"],
+    # int() would truncate 2.7 to 2 and read true as 1
+    "json_n_data_fractional": ["verify", "{frac_json}", "--c-tol", "0.3"],
+    "json_n_data_bool": ["verify", "{bool_json}", "--c-tol", "0.3"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
     # a sweep draws its own encoder, c_tol, junk policy and n_anc; a file has no --n to cap
@@ -421,12 +441,14 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
     bad_costs.write_text('{"n_data": 1, "costs": ["a", 1]}')
     bad_n_data = tmp_path / "bad_n_data.json"
     bad_n_data.write_text('{"n_data": "x", "costs": [0, 1]}')
-    huge = {"huge_text": "n_data=20000\n0.5 0.25\n",
-            "huge_json": '{"n_data": 1000000000, "costs": [0.5, 0.25]}',
-            "inf_json": '{"n_data": 1e400, "costs": [0.5, 0.25]}'}
+    headers = {"huge_text": "n_data=20000\n0.5 0.25\n",
+               "huge_json": '{"n_data": 1000000000, "costs": [0.5, 0.25]}',
+               "inf_json": '{"n_data": 1e400, "costs": [0.5, 0.25]}',
+               "frac_json": '{"n_data": 2.7, "costs": [0.5, 0.25, 1, 2]}',
+               "bool_json": '{"n_data": true, "costs": [0.5, 0.25]}'}
     paths = {"demo": write_demo(tmp_path), "bad_costs": bad_costs,
              "bad_n_data": bad_n_data, "out": tmp_path / "out.txt"}
-    for name, text in huge.items():
+    for name, text in headers.items():
         paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"
         paths[name].write_text(text)
     argv = [arg.format(**paths) for arg in MALFORMED_ARGV[case]]

@@ -220,6 +220,23 @@ def test_encode_checks_its_input_with_the_uniform_state_cached():
     assert np.array_equal(out.amplitudes, encode(uniform, inst, enc, JunkPolicy.SPREAD).amplitudes)
 
 
+@pytest.mark.parametrize("junk", list(JunkPolicy))
+def test_encoded_state_is_real(junk):
+    state, _ = encoded([0.1, 0.7, 0.3, 0.9], AmplitudeEncoder.cosine_power(2), junk, n_anc=2)
+    assert state.amplitudes.dtype == np.float64
+
+
+def test_encode_takes_the_shared_uniform_state_without_comparing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the shared uniform state was compared elementwise")
+
+    inst = generate("uniform_random", {"n_data": 3}, seed=6)
+    uniform = uniform_superposition(RegisterLayout(3, 2))
+    monkeypatch.setattr(np, "array_equal", forbidden)
+    monkeypatch.setattr(np, "allclose", forbidden)
+    encode(uniform, inst, AmplitudeEncoder.linear(), JunkPolicy.SPREAD)
+
+
 # ---------------------------------------------------------------------------
 # the encode memo
 

@@ -105,6 +105,33 @@ def test_uniform_superposition_norm_large():
     assert abs(state.norm() - 1.0) < 1e-12
 
 
+def test_state_dtype_follows_its_amplitudes():
+    layout = RegisterLayout(2, 1)
+    assert uniform_superposition(layout).amplitudes.dtype == np.float64
+    assert StateVector(RegisterLayout(1, 1), [1, 0, 0, 0]).amplitudes.dtype == np.float64
+    assert random_state(layout, np.random.default_rng(3)).amplitudes.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n_data,n_anc", [(2, 1), (3, 2), (4, 3)])
+def test_real_state_measures_as_its_complex_cast(n_data, n_anc):
+    layout = RegisterLayout(n_data, n_anc)
+    amps = np.random.default_rng(n_data * 3 + n_anc).normal(size=layout.total_dim)
+    real = StateVector(layout, amps / np.linalg.norm(amps))
+    cplx = StateVector(layout, real.amplitudes.astype(complex))
+    assert np.array_equal(joint_distribution(real).probs, joint_distribution(cplx).probs)
+    for register in (DATA, ANCILLA):
+        assert np.array_equal(marginal_distribution(real, register).probs,
+                              marginal_distribution(cplx, register).probs)
+        for outcome in range(layout.register_dim(register)):
+            prob, cond = postselect(real, register, outcome)
+            prob_c, cond_c = postselect(cplx, register, outcome)
+            assert prob == prob_c == marginal_probability(cplx, register, outcome)
+            assert cond.amplitudes.dtype == np.float64
+            assert cond_c.amplitudes.dtype == np.complex128
+            # complex division by prob multiplies by its reciprocal: an ulp apart at most
+            np.testing.assert_allclose(cond.amplitudes, cond_c.amplitudes, rtol=1e-15, atol=0)
+
+
 def test_uniform_superposition_is_shared_for_a_layout():
     state = uniform_superposition(RegisterLayout(3, 2))
     assert uniform_superposition(RegisterLayout(3, 2)) is state
