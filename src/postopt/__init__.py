@@ -17,7 +17,6 @@ from .algorithm import (
     RunConfig,
     TrialStats,
     chain_decomposition,
-    encoded_state,
     exact_analysis,
     run_repeat_until_success,
     sequential_vs_joint_check,
@@ -26,34 +25,10 @@ from .baselines import (
     SearchResult,
     amplitude_amplification_success,
     grover_simulate,
-    grover_state,
     hill_climb,
     optimal_iterations,
     random_search,
 )
-from .costfn import (
-    CostInstance,
-    count_below,
-    generate,
-    load_instance,
-    min_cost,
-    save_instance,
-)
-from .encoding import AmplitudeEncoder, JunkPolicy, encode, instance_amplitudes, success_amplitude
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    DomainError,
-    ImpossibleOutcomeError,
-    PostoptError,
-)
-from .statevec import (
-    OutcomeDistribution,
-    RegisterLayout,
-    StateVector,
-    joint_distribution,
-    marginal_distribution,
-    marginal_probability,
-    postselect,
-    uniform_superposition,
-)
+from .costfn import CostInstance, count_below, generate, load_instance, min_cost, save_instance
+from .encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
+from .errors import CapacityError, ConfigurationError, DomainError, PostoptError

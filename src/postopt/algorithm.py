@@ -44,7 +44,6 @@ from .statevec import EPS_PROB, RegisterLayout, StateVector, uniform_superpositi
 
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
-SIGMA_BAND = 5.0
 ROW_BLOCK = 1 << 12  # Born grid rows squared at a time where the full grid is not kept
 
 
@@ -111,9 +110,6 @@ class TrialStats:
     accepted_samples: int
     low_cost_hits: int
     p_joint_estimate: float
-    ci_low: float
-    ci_high: float
-    expected_preparations_per_hit: float
     first_hit_preparation: int | None
 
 
@@ -206,17 +202,6 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     return 0.5 * float(rebuilt.sum())
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    if trials == 0:
-        return 0.0, 1.0
-    p_hat = hits / trials
-    denom = 1.0 + z**2 / trials
-    center = (p_hat + z**2 / (2 * trials)) / denom
-    half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z**2 / (4 * trials**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
 def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> TrialStats:
     """Sample the full protocol: prepare, encode, measure ancilla, retry on junk.
 
@@ -243,14 +228,10 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
 
     n_hits = int(hits.sum())
     first_hit = int(accepted_at[np.nonzero(hits)[0][0]]) + 1 if n_hits else None
-    ci_low, ci_high = wilson_interval(n_hits, budget)
     return TrialStats(
         preparations_used=budget,
         accepted_samples=int(accepted_at.size),
         low_cost_hits=n_hits,
         p_joint_estimate=n_hits / budget,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        expected_preparations_per_hit=budget / n_hits if n_hits else math.inf,
         first_hit_preparation=first_hit,
     )

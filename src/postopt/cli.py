@@ -286,10 +286,6 @@ def sweep_configurations(count: int, seed: int, n_max: int) -> list[tuple[str, C
     return drawn
 
 
-_VERIFY_COLUMNS = ("key", "n", "m", "p_first", "p_cond", "p_joint", "bound",
-                   "max_per_state_product", "tv_distance", "ok")
-
-
 def _print_verify_table(records: list[dict]) -> None:
     header = f"{'configuration':<58} {'n':>5} {'m':>5} {'p_first':>10} {'p_cond':>10} " \
              f"{'p_joint':>10} {'M/N':>10} {'max p_k':>10} {'TV':>9} ok"

@@ -164,11 +164,9 @@ def load_instance(path: str | Path) -> CostInstance:
             # truncate 2.7 to 2, and true is an int in Python
             if type(n_data) is not int:
                 raise TypeError(f"n_data must be an integer, got {n_data!r}")
-            return CostInstance(
-                n_data,
-                np.asarray(payload["costs"], dtype=float),
-                dict(payload.get("provenance", {})),
-            )
+            costs = np.asarray(payload["costs"], dtype=float)
+            costs.flags.writeable = False  # handed over, not copied
+            return CostInstance(n_data, costs, dict(payload.get("provenance", {})))
         # JSONDecodeError is a ValueError; a cost integer past float range raises OverflowError
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
@@ -178,6 +176,7 @@ def load_instance(path: str | Path) -> CostInstance:
     try:
         n_data = int(header.split("=", 1)[1])
         costs = np.array(body.split(), dtype=float)
+        costs.flags.writeable = False  # handed over, not copied
     except ValueError as exc:
         raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
     return CostInstance(n_data, costs, {"kind": "file", "path": str(path)})

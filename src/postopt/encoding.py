@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costfn import CostInstance
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .statevec import NORM_ATOL, StateVector, uniform_superposition
 
 
@@ -84,38 +84,26 @@ class AmplitudeEncoder:
         return self.family if self.param is None else f"{self.family}:{self.param:g}"
 
 
-def success_amplitude(encoder: AmplitudeEncoder, cost: float, c_max: float) -> float:
-    """Success amplitude a in [0, 1] for a single (already shifted) cost."""
-    if not 0.0 <= cost <= c_max:
-        raise DomainError(f"cost {cost} outside [0, {c_max}]")
-    costs = np.array([cost])
-    return float(_amplitudes(encoder, costs, costs, c_max)[0])
+def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
+    """Success amplitude for every state of an instance.
 
-
-def _amplitudes(encoder: AmplitudeEncoder, costs: np.ndarray, shifted: np.ndarray,
-                c_max: float) -> np.ndarray:
-    """The oracle tests the raw `costs`; cospow and linear scale `shifted` by c_max."""
+    The oracle tests the raw costs.  cospow and linear scale the costs by
+    their maximum, after shifting them up so the minimum is 0 when it is
+    negative.
+    """
+    costs = instance.costs
     if encoder.family == "identity":
         return np.ones_like(costs)
     if encoder.family == "oracle":
         return (costs < encoder.param).astype(float)
+    shifted = costs - min(0.0, costs.min())
+    c_max = float(shifted.max())
     u = shifted / c_max if c_max > 0 else np.zeros_like(shifted)
     if encoder.family == "cospow":
         # force the endpoint: float cos(pi/2) ~ 6e-17, and fractional powers
         # would amplify that residue into a spurious success amplitude
         return np.where(u >= 1.0, 0.0, np.cos(np.pi * u / 2.0) ** encoder.param)
     return 1.0 - u
-
-
-def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
-    """Success amplitude for every state of an instance.
-
-    When the minimum cost is negative, cospow and linear scale the costs
-    shifted up so the minimum is 0; the oracle compares the raw costs.
-    """
-    costs = instance.costs
-    shifted = costs - min(0.0, costs.min())
-    return _amplitudes(encoder, costs, shifted, float(shifted.max()))
 
 
 # The last call's (state, instance, encoder, junk, result), as one tuple so a
@@ -135,11 +123,11 @@ def encode(
     `state` must be the uniform superposition with ancilla 0...0 over the
     same data register as `instance`: the object
     `uniform_superposition(state.layout)` returns passes at once; any other
-    state's amplitudes must equal that state's exactly, or else within
-    NORM_ATOL elementwise (`np.allclose`); anything else raises
-    ConfigurationError.  Output amplitude on |k, 0...0> is a_k/sqrt(N); the
-    failure weight goes to nonzero ancilla outcomes per the junk policy.  All
-    of them are real, so the encoded state is a float64 grid.
+    state's amplitudes must match that state's within NORM_ATOL elementwise
+    (`np.allclose`), or else ConfigurationError is raised.  Output amplitude
+    on |k, 0...0> is a_k/sqrt(N); the failure weight goes to nonzero ancilla
+    outcomes per the junk policy.  All of them are real, so the encoded state
+    is a float64 grid.
 
     The result of the last call is kept and returned again, the same object,
     while the call repeats: the same `state` and `instance` objects (`is`;
@@ -159,9 +147,8 @@ def encode(
             f"state has n_data={layout.n_data} but instance has n_data={instance.n_data}"
         )
     expected = uniform_superposition(layout)
-    if state is not expected and not (
-            np.array_equal(state.amplitudes, expected.amplitudes)
-            or np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)):
+    if state is not expected and not np.allclose(state.amplitudes, expected.amplitudes,
+                                                 atol=NORM_ATOL):
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
     amps = instance_amplitudes(encoder, instance)
@@ -176,6 +163,7 @@ def encode(
         grid[:, 1:] = (fail / root_n / np.sqrt(layout.anc_dim - 1))[:, None]
     else:
         raise ConfigurationError(f"unknown junk policy {junk!r}")
+    grid.flags.writeable = False  # handed over, not copied
     encoded = StateVector(layout, grid.reshape(-1))
     _last_encoding = (state, instance, encoder, junk, encoded)
     return encoded

@@ -17,15 +17,17 @@ A state's dtype follows its amplitudes: complex input is stored as
 complex128, anything else as float64.  The uniform and encoded states have
 real amplitudes, so they are float64 grids, half the bytes of complex ones.
 
-All operations are pure: they never mutate their inputs.  Amplitude arrays
-are read-only views, so states can be shared across concurrent tasks.  The
-views guard against accidental writes only: ``x.base.obj`` still reaches the
-owning array, which numpy lets a caller mark writable again.  States are
+All operations are pure: they never mutate their inputs, and a constructor
+copies a writable input array rather than freeze the caller's.  Amplitude
+arrays are read-only views, so states can be shared across concurrent tasks.
+The views guard against accidental writes only: ``x.base.obj`` still reaches
+the owning array, which numpy lets a caller mark writable again.  States are
 shared between calls: `uniform_superposition` keeps the uniform state of the
 last layout, and `encoding.encode` keeps the last encoded state with the
-input state it was built from.  On the production path that input is the
-kept uniform state, so up to two states stay alive, at most 256 MiB at the
-24-qubit cap.
+input state it was built from.  `encode` takes that shared uniform object as
+it is and checks any other input against it with `np.allclose`.  On the
+production path the input is the kept uniform state, so up to two states
+stay alive, at most 256 MiB at the 24-qubit cap.
 """
 
 from __future__ import annotations
@@ -50,15 +52,19 @@ ANCILLA = "ancilla"
 
 
 def read_only_view(a: np.ndarray) -> np.ndarray:
-    """A read-only view of the contiguous 1-D array `a`.
+    """A read-only view of the contiguous 1-D array `a`, or of a copy of it.
 
-    `a` itself is marked read-only.  The view's base is a read-only
-    memoryview, so neither setting the view's `flags.writeable` nor writing
-    through `.base` succeeds.  No data is copied.  This guards against
-    accidental writes only: `.base.obj` is `a`, which a caller can still mark
-    writable again.
+    A writable `a` is copied, so the caller's array stays as it was and its
+    later writes never reach the view.  A read-only `a` is kept without a
+    copy; `uniform_superposition` and `encode` hand over their grids so.  The
+    view's base is a read-only memoryview, so neither setting the view's
+    `flags.writeable` nor writing through `.base` succeeds.  This guards
+    against accidental writes only: `.base.obj` is the array kept, which a
+    caller can still mark writable again.
     """
-    a.flags.writeable = False
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
     return np.frombuffer(memoryview(a).toreadonly(), a.dtype)
 
 
@@ -103,9 +109,9 @@ class RegisterLayout:
 class StateVector:
     """Normalized amplitudes over the composite (data, ancilla) basis.
 
-    Stored as complex128 when the input is complex, float64 otherwise.  An
-    input that is already a contiguous array of that dtype is kept without a
-    copy and marked read-only.
+    Stored as complex128 when the input is complex, float64 otherwise.  A
+    read-only contiguous input of that dtype is kept without a copy; any
+    other input is copied, and the caller's array is left as it was.
     """
 
     layout: RegisterLayout
@@ -126,9 +132,6 @@ class StateVector:
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to (data_dim, anc_dim); row k, column a = |k, a>."""
         return self.amplitudes.reshape(self.layout.data_dim, self.layout.anc_dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,7 @@ def uniform_superposition(layout: RegisterLayout) -> StateVector:
     """
     grid = np.zeros((layout.data_dim, layout.anc_dim))
     grid[:, 0] = 1.0 / np.sqrt(layout.data_dim)
+    grid.flags.writeable = False  # handed over, not copied
     return StateVector(layout, grid.reshape(-1))
 
 

@@ -14,7 +14,6 @@ from postopt.algorithm import (
     exact_analysis,
     run_repeat_until_success,
     sequential_vs_joint_check,
-    wilson_interval,
 )
 from postopt.costfn import count_below, generate
 from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
@@ -439,7 +438,6 @@ def test_rtus_identity_converges_to_m_over_n():
     stats = run_repeat_until_success(demo(), config)
     sigma = math.sqrt(0.375 * 0.625 / budget)
     assert abs(stats.p_joint_estimate - 0.375) < 5 * sigma
-    assert stats.ci_low < 0.375 < stats.ci_high
 
 
 def test_rtus_no_acceptance_possible():
@@ -449,7 +447,6 @@ def test_rtus_no_acceptance_possible():
     assert stats.accepted_samples == 0
     assert stats.low_cost_hits == 0
     assert stats.first_hit_preparation is None
-    assert stats.expected_preparations_per_hit == math.inf
 
 
 def test_rtus_counts_and_determinism():
@@ -480,12 +477,6 @@ def test_run_config_validation():
     for c_tol in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigurationError):
             RunConfig(c_tol=c_tol, encoder=IDENTITY)
-
-
-def test_wilson_interval_sane():
-    lo, hi = wilson_interval(375, 1000)
-    assert 0.0 <= lo < 0.375 < hi <= 1.0
-    assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

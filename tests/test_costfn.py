@@ -122,6 +122,16 @@ def test_instance_validation():
         CostInstance(3, np.array([1.0, 2.0]))
 
 
+def test_instance_leaves_the_callers_array_as_it_was():
+    c = np.array([1.0, 2.0])
+    inst = CostInstance(1, c)
+    assert c.flags.writeable
+    c[0] = 5.0  # the caller may still write to its array, and the instance does not change
+    assert np.array_equal(inst.costs, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        inst.costs[0] = 5.0
+
+
 def test_oversized_n_data_is_refused_without_building_two_to_the_n():
     # 1 << 10**9 alone is a 125 MB integer; the shape check must not form it
     tracemalloc.start()

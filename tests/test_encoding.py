@@ -8,9 +8,8 @@ from postopt.encoding import (
     JunkPolicy,
     encode,
     instance_amplitudes,
-    success_amplitude,
 )
-from postopt.errors import ConfigurationError, DomainError
+from postopt.errors import ConfigurationError
 from postopt.statevec import ANCILLA, DATA, RegisterLayout, StateVector, marginal_distribution, \
     marginal_probability, postselect, uniform_superposition
 
@@ -33,58 +32,58 @@ def encoded(costs, encoder, junk=JunkPolicy.CONCENTRATED, n_anc=1):
 # ---------------------------------------------------------------------------
 # success amplitudes
 
+def amplitudes(encoder, costs):
+    return instance_amplitudes(encoder, generate("explicit", {"costs": costs}))
+
+
 def test_cosine_power_closed_form():
-    a = success_amplitude(AmplitudeEncoder.cosine_power(1), cost=1.0, c_max=2.0)
+    a = amplitudes(AmplitudeEncoder.cosine_power(1), [0.0, 1.0, 2.0, 2.0])[1]  # half-way up
     assert a == pytest.approx(0.7071067811865476, abs=1e-15)  # cos(pi/4)
 
 
 def test_identity_always_one():
-    enc = AmplitudeEncoder.identity()
-    for cost in (0.0, 0.3, 2.0):
-        assert success_amplitude(enc, cost, 2.0) == 1.0
+    assert np.array_equal(amplitudes(AmplitudeEncoder.identity(), [0.0, 0.3, 2.0, 2.0]),
+                          np.ones(4))
 
 
 @pytest.mark.parametrize("b", [0.5, 1, 2, 8])
 def test_cosine_power_vanishes_at_max(b):
-    assert success_amplitude(AmplitudeEncoder.cosine_power(b), 2.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+    a = amplitudes(AmplitudeEncoder.cosine_power(b), [0.0, 1.0, 0.5, 2.0])
+    assert a[3] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_and_oracle():
-    assert success_amplitude(AmplitudeEncoder.linear(), 0.5, 2.0) == pytest.approx(0.75)
-    oracle = AmplitudeEncoder.oracle_threshold(1.0)
-    assert success_amplitude(oracle, 0.99, 2.0) == 1.0
-    assert success_amplitude(oracle, 1.0, 2.0) == 0.0  # strict threshold
+    assert amplitudes(AmplitudeEncoder.linear(), [0.0, 0.5, 1.0, 2.0])[1] == pytest.approx(0.75)
+    oracle = amplitudes(AmplitudeEncoder.oracle_threshold(1.0), [0.0, 0.99, 1.0, 2.0])
+    assert oracle[1] == 1.0
+    assert oracle[2] == 0.0  # strict threshold
 
 
 def test_amplitude_in_unit_interval():
     rng = np.random.default_rng(8)
     for enc in ENCODERS:
         for _ in range(50):
-            c_max = float(rng.uniform(0.1, 10))
-            a = success_amplitude(enc, float(rng.uniform(0, c_max)), c_max)
-            assert 0.0 <= a <= 1.0
-
-
-def test_cost_out_of_range():
-    with pytest.raises(DomainError):
-        success_amplitude(AmplitudeEncoder.linear(), 3.0, 2.0)
-    with pytest.raises(DomainError):
-        success_amplitude(AmplitudeEncoder.linear(), -0.5, 2.0)
+            n_data = int(rng.integers(1, 6))
+            costs = rng.uniform(0, float(rng.uniform(0.1, 10)), size=1 << n_data)
+            a = amplitudes(enc, costs)
+            assert np.all((0.0 <= a) & (a <= 1.0))
 
 
 def test_cosine_power_monotone_in_b():
     # larger exponent pushes every nonzero-cost amplitude toward 0
-    for u in (0.1, 0.5, 0.9):
-        amps = [success_amplitude(AmplitudeEncoder.cosine_power(b), u, 1.0)
-                for b in (0.5, 1, 2, 4, 8, 32)]
-        assert all(hi > lo for hi, lo in zip(amps, amps[1:]))
-    assert success_amplitude(AmplitudeEncoder.cosine_power(64), 0.5, 1.0) < 1e-9
+    costs = [0.0, 0.1, 0.5, 0.9, 1.0, 1.0, 1.0, 1.0]
+    amps = np.array([amplitudes(AmplitudeEncoder.cosine_power(b), costs)[1:4]
+                     for b in (0.5, 1, 2, 4, 8, 32)])
+    assert np.all(amps[:-1] > amps[1:])
+    assert amplitudes(AmplitudeEncoder.cosine_power(64), costs)[2] < 1e-9
 
 
 def test_zero_c_max_treated_as_raw():
-    # all-zero instance: every encoder maps cost 0 to amplitude 1
+    # c_max = 0, raw or after the shift up from a negative minimum: cospow and
+    # linear see u = 0, and every cost lies below the oracle's threshold
     for enc in ENCODERS:
-        assert success_amplitude(enc, 0.0, 0.0) == 1.0
+        for cost in (0.0, -0.5):
+            assert np.array_equal(amplitudes(enc, [cost] * 4), np.ones(4))
 
 
 def test_negative_costs_shift_with_threshold():
@@ -155,7 +154,7 @@ def test_encode_is_isometry(junk, n_anc):
     for enc in ENCODERS:
         inst = generate("uniform_random", {"n_data": 5}, seed=int(rng.integers(2**31)))
         state, _ = encoded(inst.costs.tolist(), enc, junk, n_anc)
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("enc", ENCODERS)
@@ -210,7 +209,7 @@ def test_encode_checks_its_input_with_the_uniform_state_cached():
         encode(StateVector(layout, junk_only.reshape(-1)), inst, AmplitudeEncoder.identity())
     assert uniform_superposition(layout) is uniform  # the refusal ran against the cached state
 
-    # within NORM_ATOL but not equal: accepted through the allclose fallback
+    # within NORM_ATOL but not equal: accepted by np.allclose
     amps = uniform.amplitudes.copy()
     amps[0] += 1e-13
     perturbed = StateVector(layout, amps)
