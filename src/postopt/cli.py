@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    generate  write a cost-instance file (text or .json)
+    generate  write a cost-instance file (text, .json or .npz)
     verify    run the exact bound/identity checks on one instance or a sweep
               of randomized configurations; exit 0 iff every check holds
     compare   run search strategies side by side on one instance
@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="single-bit-flip cost bound (hamming_structured)")
     gen.add_argument("--centers", type=int, default=3,
                      help="number of basins (hamming_structured)")
-    gen.add_argument("-o", "--out", required=True, help="output path (.json for structured form)")
+    gen.add_argument("-o", "--out", required=True,
+                     help="output path (.json or .npz for a structured form)")
 
     shared = argparse.ArgumentParser(add_help=False)
     # None marks a flag as unset, so a command that would not read it can refuse it;

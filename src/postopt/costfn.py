@@ -8,8 +8,11 @@ and argmin are exact enumerations.  Generators are deterministic given
 from __future__ import annotations
 
 import json
+import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -131,10 +134,15 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
     raise ConfigurationError(f"unknown generator kind {kind!r}")
 
 
-def save_instance(instance: CostInstance, path: str | Path) -> None:
-    """Write an instance file; `.json` extension selects the structured form.
+_PARSE_BLOCK_BYTES = 1 << 20  # whole lines of text parsed per np.fromstring call
+_SAVE_BLOCK = 8192  # costs formatted per write; a multiple of the 8 per line
 
-    Both formats round-trip costs bit-exactly (floats serialized via repr).
+
+def save_instance(instance: CostInstance, path: str | Path) -> None:
+    """Write an instance file; `.json` or `.npz` extension selects that form.
+
+    Every format round-trips costs bit-exactly: text and JSON through repr,
+    `.npz` as raw float64.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -145,38 +153,91 @@ def save_instance(instance: CostInstance, path: str | Path) -> None:
         }
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return
-    lines = [f"n_data={instance.n_data}"]
-    costs = instance.costs.tolist()
-    for start in range(0, len(costs), 8):
-        lines.append(" ".join(repr(c) for c in costs[start:start + 8]))
-    path.write_text("\n".join(lines) + "\n")
+    if path.suffix == ".npz":
+        np.savez(path, costs=instance.costs, n_data=instance.n_data,
+                 provenance=json.dumps(instance.provenance, sort_keys=True))
+        return
+    with path.open("w") as out:
+        out.write(f"n_data={instance.n_data}\n")
+        for start in range(0, instance.size, _SAVE_BLOCK):
+            costs = instance.costs[start:start + _SAVE_BLOCK].tolist()
+            out.writelines(" ".join(map(repr, costs[i:i + 8])) + "\n"
+                           for i in range(0, len(costs), 8))
 
 
 def load_instance(path: str | Path) -> CostInstance:
-    """Read an instance file in either the text or the structured (JSON) form."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(stripped)
-            n_data = payload["n_data"]
-            # a JSON integer only, as the text form refuses n_data=2.0: int() would
-            # truncate 2.7 to 2, and true is an int in Python
-            if type(n_data) is not int:
-                raise TypeError(f"n_data must be an integer, got {n_data!r}")
-            costs = np.asarray(payload["costs"], dtype=float)
-            costs.flags.writeable = False  # handed over, not copied
-            return CostInstance(n_data, costs, dict(payload.get("provenance", {})))
-        # JSONDecodeError is a ValueError; a cost integer past float range raises OverflowError
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
-    header, _, body = stripped.partition("\n")
-    if not header.startswith("n_data="):
-        raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
+    """Read an instance file: `.npz` by its suffix, else JSON or text by content.
+
+    The text body is parsed about 1 MiB of whole lines at a time, so a load
+    holds the table and one block of text, never a Python object per cost.
+    """
+    if Path(path).suffix == ".npz":
+        return _load_npz(path)
+    with open(path, "rb") as f:
+        line = f.readline()
+        while line.isspace():  # blank lines before the header or the JSON object
+            line = f.readline()
+        line = line.lstrip()
+        if not line.startswith(b"{"):
+            return _load_text(path, line, f)
+        data = line + f.read()
     try:
-        n_data = int(header.split("=", 1)[1])
-        costs = np.array(body.split(), dtype=float)
+        payload = json.loads(data)
+        n_data = payload["n_data"]
+        # a JSON integer only, as the text form refuses n_data=2.0: int() would
+        # truncate 2.7 to 2, and true is an int in Python
+        if type(n_data) is not int:
+            raise TypeError(f"n_data must be an integer, got {n_data!r}")
+        costs = np.asarray(payload["costs"], dtype=float)
         costs.flags.writeable = False  # handed over, not copied
-    except ValueError as exc:
+        return CostInstance(n_data, costs, dict(payload.get("provenance", {})))
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a cost integer past float
+    # range raises OverflowError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
+
+
+def _load_text(path: str | Path, line: bytes, f: BinaryIO) -> CostInstance:
+    """The text form, from its first non-blank line, left-stripped, and the rest of `f`."""
+    # a lone \r also ends the header line, as a universal-newline read splits it
+    header, _, rest = line.partition(b"\r")
+    if not header.startswith(b"n_data="):
+        raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
+    parts = []
+    try:
+        n_data = int(header[len(b"n_data="):].decode())
+        with warnings.catch_warnings():
+            # numpy >= 2 raises ValueError at a bad token; numpy < 2 warns and stops there
+            warnings.simplefilter("error", DeprecationWarning)
+            block = rest + b"".join(f.readlines(_PARSE_BLOCK_BYTES))
+            while block:
+                if not block.isspace():  # fromstring reads blank-only text as [-1.0]
+                    parts.append(np.fromstring(block, sep=" "))
+                block = b"".join(f.readlines(_PARSE_BLOCK_BYTES))
+    # UnicodeDecodeError is a ValueError
+    except (ValueError, DeprecationWarning) as exc:
         raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
+    costs = np.concatenate(parts) if parts else np.empty(0)
+    costs.flags.writeable = False  # handed over, not copied
     return CostInstance(n_data, costs, {"kind": "file", "path": str(path)})
+
+
+def _load_npz(path: str | Path) -> CostInstance:
+    """Read the `.npz` form: float64 `costs`, integer `n_data`, JSON `provenance`."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            costs, n_data, provenance = npz["costs"], npz["n_data"], npz["provenance"]
+        if costs.dtype != np.float64 or costs.ndim != 1:
+            raise TypeError(f"costs must be 1-D float64, got {costs.dtype} {costs.shape}")
+        if n_data.shape != () or n_data.dtype.kind not in "iu":
+            raise TypeError(f"n_data must be an integer scalar, got {n_data!r}")
+        if provenance.shape != () or provenance.dtype.kind != "U":
+            raise TypeError(f"provenance must be a JSON string, got {provenance!r}")
+        provenance = dict(json.loads(provenance.item()))
+    # np.load raises ValueError on pickled content; a .npy file has no __enter__; numpy
+    # allocates the shape a member's header declares before it reads the data
+    except (KeyError, TypeError, ValueError, AttributeError, EOFError, MemoryError,
+            zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"{path}: malformed instance .npz ({exc})") from exc
+    costs.flags.writeable = False  # handed over, not copied
+    return CostInstance(int(n_data), costs, provenance)

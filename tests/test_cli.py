@@ -394,6 +394,9 @@ MALFORMED_ARGV = {
     # int() would truncate 2.7 to 2 and read true as 1
     "json_n_data_fractional": ["verify", "{frac_json}", "--c-tol", "0.3"],
     "json_n_data_bool": ["verify", "{bool_json}", "--c-tol", "0.3"],
+    # a byte that is not UTF-8 used to escape as a UnicodeDecodeError traceback, exit 1
+    "text_not_utf8": ["verify", "{nonutf8_text}", "--c-tol", "0.3"],
+    "json_not_utf8": ["verify", "{nonutf8_json}", "--c-tol", "0.3"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
     # a sweep draws its own encoder, c_tol, junk policy and n_anc; a file has no --n to cap
@@ -441,15 +444,17 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
     bad_costs.write_text('{"n_data": 1, "costs": ["a", 1]}')
     bad_n_data = tmp_path / "bad_n_data.json"
     bad_n_data.write_text('{"n_data": "x", "costs": [0, 1]}')
-    headers = {"huge_text": "n_data=20000\n0.5 0.25\n",
-               "huge_json": '{"n_data": 1000000000, "costs": [0.5, 0.25]}',
-               "inf_json": '{"n_data": 1e400, "costs": [0.5, 0.25]}',
-               "frac_json": '{"n_data": 2.7, "costs": [0.5, 0.25, 1, 2]}',
-               "bool_json": '{"n_data": true, "costs": [0.5, 0.25]}'}
+    headers = {"huge_text": b"n_data=20000\n0.5 0.25\n",
+               "huge_json": b'{"n_data": 1000000000, "costs": [0.5, 0.25]}',
+               "inf_json": b'{"n_data": 1e400, "costs": [0.5, 0.25]}',
+               "frac_json": b'{"n_data": 2.7, "costs": [0.5, 0.25, 1, 2]}',
+               "bool_json": b'{"n_data": true, "costs": [0.5, 0.25]}',
+               "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n",
+               "nonutf8_json": b'{"n_data": 1, "costs": [0.5, 0.25], "provenance": {"k": "\xff"}}'}
     paths = {"demo": write_demo(tmp_path), "bad_costs": bad_costs,
              "bad_n_data": bad_n_data, "out": tmp_path / "out.txt"}
     for name, text in headers.items():
         paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"
-        paths[name].write_text(text)
+        paths[name].write_bytes(text)
     argv = [arg.format(**paths) for arg in MALFORMED_ARGV[case]]
     assert main(argv) == 2

@@ -1,8 +1,16 @@
+import io
+import json
 import tracemalloc
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from postopt import costfn
+from postopt.cli import main
 from postopt.costfn import (
     CostInstance,
     count_below,
@@ -147,7 +155,7 @@ def test_oversized_n_data_is_refused_without_building_two_to_the_n():
 # ---------------------------------------------------------------------------
 # file round-trips
 
-@pytest.mark.parametrize("suffix", [".txt", ".json"])
+@pytest.mark.parametrize("suffix", [".txt", ".json", ".npz"])
 def test_round_trip_bit_exact(tmp_path, suffix):
     # awkward floats: repr-based serialization must reproduce them exactly
     costs = [0.1 + 0.2, 1 / 3, -7.25e-17, 9.0, 1e300, -2.5, np.pi, 4.0]
@@ -166,18 +174,29 @@ def test_text_load_ignores_line_endings_and_trailing_blank_lines(tmp_path):
     save_instance(inst, path)
     text = path.read_text()
     crlf = text.replace("\n", "\r\n")
-    for variant in (crlf, text + "\n\n  \n", crlf + "\r\n\r\n"):
+    for variant in (crlf, text + "\n\n  \n", crlf + "\r\n\r\n", "\n \t\n  " + text,
+                    text.replace("\n", "\r")):
         path.write_bytes(variant.encode())
         loaded = load_instance(path)
         assert loaded.n_data == inst.n_data
         assert np.array_equal(loaded.costs, inst.costs)
 
 
-def test_json_preserves_provenance(tmp_path):
-    inst = generate("uniform_random", {"n_data": 4}, seed=13)
+def test_json_loads_after_leading_blank_lines(tmp_path):
+    inst = generate("uniform_random", {"n_data": 3}, seed=13)
     path = tmp_path / "inst.json"
     save_instance(inst, path)
-    assert load_instance(path).provenance == inst.provenance
+    path.write_bytes(b"\n  \r\n\t" + path.read_bytes())
+    loaded = load_instance(path)
+    assert np.array_equal(loaded.costs, inst.costs)
+    assert loaded.provenance == inst.provenance
+
+
+def test_json_preserves_provenance(tmp_path):
+    inst = generate("uniform_random", {"n_data": 4}, seed=13)
+    for path in (tmp_path / "inst.json", tmp_path / "inst.npz"):
+        save_instance(inst, path)
+        assert load_instance(path).provenance == inst.provenance
 
 
 def test_text_format_shape(tmp_path):
@@ -192,5 +211,174 @@ def test_text_format_shape(tmp_path):
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("this is not an instance\n1 2 3\n")
+    with pytest.raises(ConfigurationError):
+        load_instance(path)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1 << n, max_size=1 << n)))
+@example([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+@example([2.2250738585072009e-308, -4.9e-324, 0.1, -0.0])
+def test_every_form_round_trips_bit_exactly(tmp_path_factory, costs):
+    inst = CostInstance(len(costs).bit_length() - 1, np.array(costs))
+    directory = tmp_path_factory.mktemp("round_trip")
+    for suffix in (".txt", ".json", ".npz"):
+        path = directory / f"inst{suffix}"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        assert loaded.n_data == inst.n_data
+        assert np.array_equal(loaded.costs.view(np.int64), inst.costs.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# text tables that span several parse blocks
+
+@pytest.fixture(scope="module")
+def n17_text(tmp_path_factory):
+    """An n=17 text table (about 2.5 MB, so at least 3 parse blocks) and its costs."""
+    rng = np.random.default_rng(17)
+    costs = rng.standard_normal(1 << 17) * 10.0 ** rng.integers(-300, 300, size=1 << 17)
+    path = tmp_path_factory.mktemp("n17") / "inst.txt"
+    save_instance(CostInstance(17, costs), path)
+    data = path.read_bytes()
+    assert len(data) > 2 * costfn._PARSE_BLOCK_BYTES
+    return data, costs
+
+
+def test_multi_block_text_loads_like_split(n17_text, tmp_path):
+    data, costs = n17_text
+    path = tmp_path / "inst.txt"
+    path.write_bytes(data)
+    reference = np.array(data.decode().partition("\n")[2].split(), dtype=float)
+    loaded = load_instance(path).costs
+    assert np.array_equal(loaded.view(np.int64), reference.view(np.int64))
+    assert np.array_equal(loaded.view(np.int64), costs.view(np.int64))
+
+
+def test_multi_block_text_ignores_line_endings_and_blank_tail(n17_text, tmp_path):
+    data, costs = n17_text
+    path = tmp_path / "inst.txt"
+    # the blank tail alone fills more than one block
+    tail = (b" " * 1022 + b"\r\n") * (2 * costfn._PARSE_BLOCK_BYTES // 1024)
+    path.write_bytes(data.replace(b"\n", b"\r\n") + tail)
+    assert np.array_equal(load_instance(path).costs, costs)
+
+
+def test_blank_block_adds_no_cost(tmp_path, monkeypatch):
+    # np.fromstring reads a blank-only block as [-1.0], which would fill in the missing cost
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 64)
+    path = tmp_path / "inst.txt"
+    path.write_text("n_data=2\n" + "0.5 0.25 1.0".ljust(70) + "\n" + " " * 70 + "\n")
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
+def test_bad_token_in_a_later_block_exits_2(n17_text, tmp_path):
+    data, _ = n17_text
+    at = data.index(b" ", len(data) * 2 // 3)
+    path = tmp_path / "inst.txt"
+    path.write_bytes(data[:at] + b" 0.5x" + data[at:])
+    assert main(["verify", str(path), "--c-tol", "0"]) == 2
+
+
+@pytest.mark.parametrize("body", [
+    "0.5 0.25 1.0",            # one cost too few
+    "0.5 0.25 1.0 2.0 3.0",    # one cost too many
+    "",                        # no body at all
+    "\n \n",                   # a blank body
+    "0.5 1_0 1.0 2.0",         # float() took digit underscores
+    "0.5 1\u00a00.25 2.0",     # str.split() took non-ASCII whitespace
+    "0.5 0x10 1.0 2.0",
+    "0.5,0.25,1.0,2.0",
+], ids=["too_few", "too_many", "empty", "blank", "underscore", "nbsp", "hex", "commas"])
+def test_malformed_text_body_exits_2(tmp_path, body):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(f"n_data=2\n{body}\n".encode())
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
+@pytest.mark.parametrize("token", ["nan", "1e999", "-inf"])
+def test_non_finite_token_fails_the_finiteness_check(tmp_path, token):
+    # these tokens parse; the instance's own check refuses them
+    path = tmp_path / "inst.txt"
+    path.write_text(f"n_data=1\n0.5 {token}\n")
+    with pytest.raises(DomainError, match="finite"):
+        load_instance(path)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
+def test_a_parse_warning_is_a_malformed_file(tmp_path, monkeypatch):
+    # numpy < 2 warns at a bad token and returns the costs before it
+    def fromstring(text, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([0.5])
+
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    path = tmp_path / "inst.txt"
+    path.write_text("n_data=1\n0.5 x\n")
+    with pytest.raises(ConfigurationError, match="could not be read"):
+        load_instance(path)
+
+
+# ---------------------------------------------------------------------------
+# the .npz form
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+GOOD_NPZ = {"costs": np.array([0.5, 0.25]), "n_data": np.int64(1), "provenance": "{}"}
+
+BAD_NPZ = {
+    "no_costs": {"costs": None},
+    "no_n_data": {"n_data": None},
+    "no_provenance": {"provenance": None},
+    "costs_float32": {"costs": np.array([0.5, 0.25], dtype=np.float32)},
+    "costs_strings": {"costs": np.array(["0.5", "0.25"])},
+    "costs_2d": {"costs": np.array([[0.5, 0.25], [1.0, 2.0]]), "n_data": np.int64(2)},
+    "costs_pickled": {"costs": np.array([0.5, 0.25], dtype=object)},
+    "costs_too_few": {"costs": np.array([0.5])},
+    "n_data_float": {"n_data": np.float64(1.0)},
+    "n_data_bool": {"n_data": np.bool_(True)},
+    "n_data_array": {"n_data": np.array([1])},
+    "provenance_not_json": {"provenance": "{kind"},
+    "provenance_not_string": {"provenance": np.int64(3)},
+    "provenance_not_object": {"provenance": "[1, 2, 3]"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NPZ))
+def test_malformed_npz_exits_2(tmp_path, case):
+    members = {**GOOD_NPZ, **BAD_NPZ[case]}
+    path = tmp_path / "inst.npz"
+    np.savez(path, **{k: v for k, v in members.items() if v is not None})
+    with pytest.raises(ConfigurationError if case != "costs_too_few" else DomainError):
+        load_instance(path)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
+def test_npz_refuses_files_that_are_not_npz_archives(tmp_path):
+    path = tmp_path / "inst.npz"
+    for data in (b"", b"n_data=1\n0.5 0.25\n", b"PK\x03\x04 truncated",
+                 _npy_bytes(np.array([0.5, 0.25]))):
+        path.write_bytes(data)
+        with pytest.raises(ConfigurationError):
+            load_instance(path)
+        assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
+def test_npz_shape_past_its_data_is_refused(tmp_path):
+    # numpy allocates the declared shape before reading: 8 TiB, or a short read
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (1 << 40,)})
+    path = tmp_path / "inst.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("costs.npy", header.getvalue() + bytes(16))
+        archive.writestr("n_data.npy", _npy_bytes(np.int64(1)))
+        archive.writestr("provenance.npy", _npy_bytes(np.array(json.dumps({}))))
     with pytest.raises(ConfigurationError):
         load_instance(path)
