@@ -46,7 +46,8 @@ from .baselines import (
     optimal_iterations,
     random_search,
 )
-from .costfn import CostInstance, count_below, generate, load_instance, min_cost, save_instance
+from .costfn import (CENTERS_MAX, CostInstance, check_params, count_below, generate, load_instance,
+                     min_cost, save_instance)
 from .encoding import AmplitudeEncoder, JunkPolicy
 from .errors import ConfigurationError, PostoptError
 from .statevec import NORM_ATOL, RegisterLayout
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--lipschitz", type=float, default=1.0,
                      help="single-bit-flip cost bound (hamming_structured)")
     gen.add_argument("--centers", type=int, default=3,
-                     help="number of basins (hamming_structured)")
+                     help=f"number of basins, at most {CENTERS_MAX} (hamming_structured)")
     gen.add_argument("-o", "--out", required=True,
                      help="output path (.json or .npz for a structured form)")
 
@@ -478,10 +479,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if flag != "n":  # the list flags are named after their generator parameter
         params = {flag: _parse_floats(getattr(args, flag), f"--{flag}")}
         n_data = len(params[flag]).bit_length() - 1 if kind == "explicit" else len(params[flag])
-    elif kind == "uniform_random":
-        params = {"n_data": args.n, "low": args.low, "high": args.high}
     else:
-        params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
+        params = ({"n_data": args.n, "low": args.low, "high": args.high}
+                  if kind == "uniform_random" else
+                  {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers})
+        check_params(kind, params)  # before the table cap, so before any allocation
 
     _check_table_cap(n_data)
     instance = generate(kind, params, args.seed)

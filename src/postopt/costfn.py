@@ -8,6 +8,7 @@ and argmin are exact enumerations.  Generators are deterministic given
 from __future__ import annotations
 
 import json
+import math
 import warnings
 import zipfile
 from dataclasses import dataclass, field
@@ -18,6 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .statevec import read_only_view
+
+CENTERS_MAX = 500  # hamming_structured makes one O(N) pass per center; 500 take about 3 s at n=20
 
 @dataclass(frozen=True)
 class CostInstance:
@@ -62,12 +65,34 @@ def min_cost(instance: CostInstance) -> tuple[int, float]:
 
 
 def hamming_distances(n_data: int, center: int) -> np.ndarray:
-    """Hamming distance from every index in [0, 2**n_data) to `center`."""
-    idx = np.arange(1 << n_data, dtype=np.int64) ^ center
+    """Hamming distance (int64) from each index in [0, 2**n_data) to `center`, by doubling."""
     dist = np.zeros(1 << n_data, dtype=np.int64)
-    for j in range(n_data):
-        dist += (idx >> j) & 1
+    for j in range(n_data):  # the indices [half, 2*half) are [0, half) with bit j set
+        half, bit = 1 << j, center >> j & 1
+        np.add(dist[:half], 1 - bit, out=dist[half:2 * half])
+        dist[:half] += bit
     return dist
+
+
+def check_params(kind: str, params: dict) -> tuple[int, float, float] | tuple[int, float, int]:
+    """The scalar parameters of uniform_random or hamming_structured, parsed and checked.
+
+    It allocates nothing, so a caller can refuse a bad request before any work.
+    """
+    n_data = int(params["n_data"])
+    if kind == "uniform_random":
+        low, high = float(params.get("low", 0.0)), float(params.get("high", 1.0))
+        # rng.uniform overflows on an infinite range
+        if n_data < 1 or not low < high or not math.isfinite(high - low):
+            raise ConfigurationError(f"bad uniform_random params {params}")
+        return n_data, low, high
+    lipschitz = float(params.get("lipschitz", 1.0))
+    n_centers = int(params.get("n_centers", 3))
+    # the offsets are drawn from [0, L*n/2), which must be finite
+    if (n_data < 1 or not lipschitz > 0 or not math.isfinite(lipschitz * n_data / 2.0)
+            or not 1 <= n_centers <= CENTERS_MAX):
+        raise ConfigurationError(f"bad hamming_structured params {params}")
+    return n_data, lipschitz, n_centers
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
@@ -97,11 +122,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
         return CostInstance(n_data, costs, provenance)
 
     if kind == "uniform_random":
-        n_data = int(params["n_data"])
-        low = float(params.get("low", 0.0))
-        high = float(params.get("high", 1.0))
-        if n_data < 1 or not low < high:
-            raise ConfigurationError(f"bad uniform_random params {params}")
+        n_data, low, high = check_params(kind, params)
         costs = rng.uniform(low, high, size=1 << n_data)
         return CostInstance(n_data, costs, provenance)
 
@@ -110,31 +131,28 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
         if weights.ndim != 1 or weights.size < 1 or np.any(weights <= 0):
             raise ConfigurationError("number_partition needs a list of positive weights")
         n_data = int(weights.size)
-        idx = np.arange(1 << n_data, dtype=np.int64)
+        # by doubling, the weights added in order i = 0..n-1; bit i set -> minus
         signed = np.zeros(1 << n_data)
         for i, w in enumerate(weights):
-            signs = 1.0 - 2.0 * ((idx >> i) & 1)  # bit set -> minus
-            signed += signs * w
-        return CostInstance(n_data, np.abs(signed), provenance)
+            np.subtract(signed[:1 << i], w, out=signed[1 << i:2 << i])
+            signed[:1 << i] += w
+        return CostInstance(n_data, np.abs(signed, out=signed), provenance)
 
     if kind == "hamming_structured":
-        n_data = int(params["n_data"])
-        lipschitz = float(params.get("lipschitz", 1.0))
-        n_centers = int(params.get("n_centers", 3))
-        if n_data < 1 or lipschitz <= 0 or n_centers < 1:
-            raise ConfigurationError(f"bad hamming_structured params {params}")
+        n_data, lipschitz, n_centers = check_params(kind, params)
         centers = rng.integers(0, 1 << n_data, size=n_centers)
         offsets = np.sort(rng.uniform(0.0, lipschitz * n_data / 2.0, size=n_centers))
         offsets[0] = 0.0  # pin the global minimum at the first center
         # min over L-Lipschitz cones is L-Lipschitz in Hamming distance
-        cones = [off + lipschitz * hamming_distances(n_data, int(c))
-                 for c, off in zip(centers, offsets)]
-        return CostInstance(n_data, np.minimum.reduce(cones), provenance)
+        costs = np.full(1 << n_data, np.inf)
+        for c, off in zip(centers, offsets):
+            np.minimum(costs, off + lipschitz * hamming_distances(n_data, int(c)), out=costs)
+        return CostInstance(n_data, costs, provenance)
 
     raise ConfigurationError(f"unknown generator kind {kind!r}")
 
 
-_PARSE_BLOCK_BYTES = 1 << 20  # whole lines of text parsed per np.fromstring call
+_PARSE_BLOCK_BYTES = 1 << 20  # bytes of text read per chunk, parsed by one np.fromstring call
 _SAVE_BLOCK = 8192  # costs formatted per write; a multiple of the 8 per line
 
 
@@ -142,41 +160,42 @@ def save_instance(instance: CostInstance, path: str | Path) -> None:
     """Write an instance file; `.json` or `.npz` extension selects that form.
 
     Every format round-trips costs bit-exactly: text and JSON through repr,
-    `.npz` as raw float64.
+    `.npz` as raw float64.  Text and JSON format a block of costs per `%` call.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        payload = {
-            "n_data": instance.n_data,
-            "costs": instance.costs.tolist(),
-            "provenance": instance.provenance,
-        }
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        return
     if path.suffix == ".npz":
         np.savez(path, costs=instance.costs, n_data=instance.n_data,
                  provenance=json.dumps(instance.provenance, sort_keys=True))
         return
+    if path.suffix == ".json":  # the bytes of json.dumps(payload, sort_keys=True)
+        provenance = json.dumps(instance.provenance, sort_keys=True)  # fails before the open
+        head, costs = '{"costs": [%r' % float(instance.costs[0]), instance.costs[1:]
+        per, unit = 1, ", %r"
+        tail = f'], "n_data": {instance.n_data}, "provenance": {provenance}}}\n'
+    else:  # 8 costs a line, or a table of 2 or 4 on one line
+        head, costs, tail = f"n_data={instance.n_data}\n", instance.costs, ""
+        per = min(8, instance.size)
+        unit = " ".join(["%r"] * per) + "\n"
     with path.open("w") as out:
-        out.write(f"n_data={instance.n_data}\n")
-        for start in range(0, instance.size, _SAVE_BLOCK):
-            costs = instance.costs[start:start + _SAVE_BLOCK].tolist()
-            out.writelines(" ".join(map(repr, costs[i:i + 8])) + "\n"
-                           for i in range(0, len(costs), 8))
+        out.write(head)
+        for start in range(0, costs.size, _SAVE_BLOCK):
+            block = costs[start:start + _SAVE_BLOCK].tolist()
+            out.write(unit * (len(block) // per) % tuple(block))
+        out.write(tail)
 
 
 def load_instance(path: str | Path) -> CostInstance:
     """Read an instance file: `.npz` by its suffix, else JSON or text by content.
 
-    The text body is parsed about 1 MiB of whole lines at a time, so a load
-    holds the table and one block of text, never a Python object per cost.
+    The text body is parsed in chunks of about 1 MiB, whatever its line layout,
+    so a load holds the table and a few chunks, never a Python object per cost.
     """
     if Path(path).suffix == ".npz":
         return _load_npz(path)
     with open(path, "rb") as f:
-        line = f.readline()
+        line = f.readline(_PARSE_BLOCK_BYTES)  # a lone-\r file is one line
         while line.isspace():  # blank lines before the header or the JSON object
-            line = f.readline()
+            line = f.readline(_PARSE_BLOCK_BYTES)
         line = line.lstrip()
         if not line.startswith(b"{"):
             return _load_text(path, line, f)
@@ -197,23 +216,32 @@ def load_instance(path: str | Path) -> CostInstance:
         raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
 
 
-def _load_text(path: str | Path, line: bytes, f: BinaryIO) -> CostInstance:
-    """The text form, from its first non-blank line, left-stripped, and the rest of `f`."""
+def _load_text(path: str | Path, head: bytes, f: BinaryIO) -> CostInstance:
+    """The text form: `head`, from the first non-blank byte on, then the rest of `f`."""
+    while b"\n" not in head and b"\r" not in head and (chunk := f.read(_PARSE_BLOCK_BYTES)):
+        head += chunk  # the header line runs on past `head`
     # a lone \r also ends the header line, as a universal-newline read splits it
-    header, _, rest = line.partition(b"\r")
+    header = head.partition(b"\n")[0].partition(b"\r")[0]
     if not header.startswith(b"n_data="):
         raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
-    parts = []
     try:
         n_data = int(header[len(b"n_data="):].decode())
         with warnings.catch_warnings():
             # numpy >= 2 raises ValueError at a bad token; numpy < 2 warns and stops there
             warnings.simplefilter("error", DeprecationWarning)
-            block = rest + b"".join(f.readlines(_PARSE_BLOCK_BYTES))
-            while block:
-                if not block.isspace():  # fromstring reads blank-only text as [-1.0]
+            parts, pending = [], head[len(header):]
+            # each chunk is parsed through its last whitespace byte, as the token after it
+            # may run on; at the end of the file, a blank chunk flushes that token
+            while chunk := f.read(_PARSE_BLOCK_BYTES) or pending and b" ":
+                cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
+                if not cut:
+                    pending += chunk
+                    continue
+                block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
+                del chunk  # one copy of the text at a time, so the heap is left compact
+                if not block.isspace():  # fromstring reads blank text as [-1.0]
                     parts.append(np.fromstring(block, sep=" "))
-                block = b"".join(f.readlines(_PARSE_BLOCK_BYTES))
+                del block
     # UnicodeDecodeError is a ValueError
     except (ValueError, DeprecationWarning) as exc:
         raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc

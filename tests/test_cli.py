@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from postopt.algorithm import RunConfig
 from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, TABLE_N_MAX, check_configuration,
                          main)
-from postopt.costfn import (CostInstance, generate, hamming_distances, load_instance,
-                            save_instance)
+from postopt.costfn import (CENTERS_MAX, CostInstance, generate, hamming_distances,
+                            load_instance, save_instance)
 from postopt.encoding import AmplitudeEncoder, JunkPolicy
 from postopt.statevec import RegisterLayout, uniform_superposition
 
@@ -399,6 +399,18 @@ MALFORMED_ARGV = {
     "json_not_utf8": ["verify", "{nonutf8_json}", "--c-tol", "0.3"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
+    # rng.uniform raised OverflowError on these, a traceback with exit 1; a NaN passed `<= 0`
+    "generate_low_infinite": ["generate", "--kind", "uniform_random", "--n", "4", "--low=-inf",
+                              "-o", "{out}"],
+    "generate_range_overflows": ["generate", "--kind", "uniform_random", "--n", "4",
+                                 "--low=-1e308", "--high=1e308", "-o", "{out}"],
+    "generate_lipschitz_nan": ["generate", "--kind", "hamming_structured", "--n", "4",
+                               "--lipschitz", "nan", "-o", "{out}"],
+    "generate_lipschitz_overflows": ["generate", "--kind", "hamming_structured", "--n", "4",
+                                     "--lipschitz", "1e308", "-o", "{out}"],
+    # one N-sized cone per center used to be built before any check
+    "generate_centers_over_cap": ["generate", "--kind", "hamming_structured", "--n", "4",
+                                  "--centers", str(CENTERS_MAX + 1), "-o", "{out}"],
     # a sweep draws its own encoder, c_tol, junk policy and n_anc; a file has no --n to cap
     "sweep_with_encoder": ["verify", "--sweep", "2", "--encoder", "cospow:2"],
     "sweep_with_c_tol": ["verify", "--sweep", "2", "--c-tol", "0.5"],

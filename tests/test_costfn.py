@@ -13,6 +13,7 @@ from postopt import costfn
 from postopt.cli import main
 from postopt.costfn import (
     CostInstance,
+    check_params,
     count_below,
     generate,
     hamming_distances,
@@ -121,6 +122,101 @@ def test_generator_bad_params():
         generate("explicit", {"costs": [1.0, 2.0, 3.0]})  # not a power of two
     with pytest.raises(ConfigurationError):
         generate("no_such_kind", {})
+
+
+@pytest.mark.parametrize("kind, params", [
+    # rng.uniform used to raise OverflowError on an infinite range
+    ("uniform_random", {"n_data": 4, "low": -np.inf}),
+    ("uniform_random", {"n_data": 4, "high": np.inf}),
+    ("uniform_random", {"n_data": 4, "low": -1e308, "high": 1e308}),
+    ("uniform_random", {"n_data": 4, "low": np.nan}),
+    ("hamming_structured", {"n_data": 4, "lipschitz": np.nan}),
+    ("hamming_structured", {"n_data": 4, "lipschitz": np.inf}),
+    ("hamming_structured", {"n_data": 4, "lipschitz": 1e308}),
+    ("hamming_structured", {"n_data": 4, "n_centers": 0}),
+    ("hamming_structured", {"n_data": 4, "n_centers": costfn.CENTERS_MAX + 1}),
+])
+def test_generator_refuses_overflowing_or_oversized_params(kind, params):
+    with pytest.raises(ConfigurationError):
+        check_params(kind, params)
+    with pytest.raises(ConfigurationError):
+        generate(kind, params)
+
+
+@pytest.mark.parametrize("n_data", [1, 2, 12])
+def test_every_swept_center_count_is_valid(n_data):
+    # the default 3 and the sweep's 1..3 hold at every n, even with more centers than states
+    for n_centers in (1, 2, 3, None, costfn.CENTERS_MAX):
+        params = {"n_data": n_data} if n_centers is None else {"n_data": n_data,
+                                                                "n_centers": n_centers}
+        inst = generate("hamming_structured", params, seed=n_data)
+        assert inst.costs.min() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the O(N) generators against the loops they replaced
+
+def _hamming_distances_reference(n_data, center):
+    idx = np.arange(1 << n_data, dtype=np.int64) ^ center
+    dist = np.zeros(1 << n_data, dtype=np.int64)
+    for j in range(n_data):
+        dist += (idx >> j) & 1
+    return dist
+
+
+def _number_partition_reference(weights):
+    weights = np.asarray(weights, dtype=float)
+    idx = np.arange(1 << weights.size, dtype=np.int64)
+    signed = np.zeros(1 << weights.size)
+    for i, w in enumerate(weights):
+        signs = 1.0 - 2.0 * ((idx >> i) & 1)  # bit set -> minus
+        signed += signs * w
+    return np.abs(signed)
+
+
+def _hamming_structured_reference(n_data, lipschitz, n_centers, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(0, 1 << n_data, size=n_centers)
+    offsets = np.sort(rng.uniform(0.0, lipschitz * n_data / 2.0, size=n_centers))
+    offsets[0] = 0.0
+    cones = [off + lipschitz * _hamming_distances_reference(n_data, int(c))
+             for c, off in zip(centers, offsets)]
+    return np.minimum.reduce(cones)
+
+
+def _save_text_reference(instance, path):
+    with open(path, "w") as out:
+        out.write(f"n_data={instance.n_data}\n")
+        costs = instance.costs.tolist()
+        out.writelines(" ".join(map(repr, costs[i:i + 8])) + "\n"
+                       for i in range(0, len(costs), 8))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_hamming_distances_match_the_bit_loop(n_center):
+    n_data, center = n_center
+    dist = hamming_distances(n_data, center)
+    assert dist.dtype == np.int64
+    assert dist.tobytes() == _hamming_distances_reference(n_data, center).tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=14))
+@example([0.1, 0.2, 0.3, 0.1 + 0.2])  # sums that round differently in another order
+@example([1.0, 1e16, 1.0, 1e-16, 3.0])
+def test_number_partition_matches_the_bit_loop(weights):
+    costs = generate("number_partition", {"weights": weights}).costs
+    assert costs.tobytes() == _number_partition_reference(weights).tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 14), st.floats(1e-3, 1e3), st.integers(1, 5), st.integers(0, 2**32))
+def test_hamming_structured_matches_the_list_of_cones(n_data, lipschitz, n_centers, seed):
+    params = {"n_data": n_data, "lipschitz": lipschitz, "n_centers": n_centers}
+    costs = generate("hamming_structured", params, seed=seed).costs
+    reference = _hamming_structured_reference(n_data, lipschitz, n_centers, seed)
+    assert costs.tobytes() == reference.tobytes()
 
 
 def test_instance_validation():
@@ -233,6 +329,59 @@ def test_every_form_round_trips_bit_exactly(tmp_path_factory, costs):
 
 
 # ---------------------------------------------------------------------------
+# the block writers
+
+def _random_costs(n_data, seed):
+    rng = np.random.default_rng(seed)
+    costs = rng.standard_normal(1 << n_data) * 10.0 ** rng.integers(-300, 300, size=1 << n_data)
+    costs[rng.integers(0, 1 << n_data, size=3)] = [-0.0, 5e-324, 1.7976931348623157e308]
+    return costs
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 14), st.integers(0, 2**32))
+@example(13, 0)  # exactly one block of _SAVE_BLOCK costs
+def test_text_writer_matches_the_line_writer(tmp_path_factory, n_data, seed):
+    inst = CostInstance(n_data, _random_costs(n_data, seed))
+    directory = tmp_path_factory.mktemp("text_writer")
+    save_instance(inst, directory / "inst.txt")
+    _save_text_reference(inst, directory / "reference.txt")
+    assert (directory / "inst.txt").read_bytes() == (directory / "reference.txt").read_bytes()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 14), st.integers(0, 2**32),
+       st.dictionaries(st.text(max_size=5), st.integers() | st.floats() | st.text(max_size=5),
+                       max_size=4))
+@example(13, 0, {})
+def test_json_writer_matches_json_dumps(tmp_path_factory, n_data, seed, provenance):
+    inst = CostInstance(n_data, _random_costs(n_data, seed), provenance)
+    path = tmp_path_factory.mktemp("json_writer") / "inst.json"
+    save_instance(inst, path)
+    payload = {"n_data": n_data, "costs": inst.costs.tolist(), "provenance": provenance}
+    assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_json_save_holds_no_python_float_per_cost(tmp_path):
+    inst = CostInstance(16, np.random.default_rng(16).uniform(size=1 << 16))
+    tracemalloc.start()
+    try:
+        save_instance(inst, tmp_path / "inst.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of 2**16 floats alone takes 2 MiB; the costs themselves 0.5 MiB
+    assert peak < 1.5 * 2**20
+
+
+def test_a_json_provenance_that_does_not_serialize_writes_no_file(tmp_path):
+    inst = CostInstance(1, np.array([0.5, 0.25]), {"params": np.arange(2)})
+    with pytest.raises(TypeError):
+        save_instance(inst, tmp_path / "inst.json")
+    assert not (tmp_path / "inst.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # text tables that span several parse blocks
 
 @pytest.fixture(scope="module")
@@ -276,6 +425,66 @@ def test_blank_block_adds_no_cost(tmp_path, monkeypatch):
 
 def test_bad_token_in_a_later_block_exits_2(n17_text, tmp_path):
     data, _ = n17_text
+    at = data.index(b" ", len(data) * 2 // 3)
+    path = tmp_path / "inst.txt"
+    path.write_bytes(data[:at] + b" 0.5x" + data[at:])
+    assert main(["verify", str(path), "--c-tol", "0"]) == 2
+
+
+def _one_line_body(data):
+    header, _, body = data.partition(b"\n")
+    return header + b"\n" + body.replace(b"\n", b" ")
+
+
+def test_one_line_body_loads_in_chunks(tmp_path, monkeypatch):
+    # readline used to take such a body whole, at twice the peak of the 8-per-line layout
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 1 << 16)
+    costs = _random_costs(16, 16)
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(16, costs), path)
+    data = path.read_bytes()
+    for variant in (_one_line_body(data), data.replace(b"\n", b"\r")):
+        path.write_bytes(variant)
+        tracemalloc.start()
+        try:
+            loaded = load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
+        # the parsed parts and their concatenation, plus a few chunks of text
+        assert peak < 2 * costs.nbytes + 4 * costfn._PARSE_BLOCK_BYTES < len(variant)
+
+
+@pytest.mark.parametrize("layout", ["lines", "one_line", "lone_cr", "no_final_newline"])
+def test_tokens_straddling_chunk_boundaries_load_whole(tmp_path, monkeypatch, layout):
+    costs = _random_costs(5, 5)
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(5, costs), path)
+    data = path.read_bytes()
+    data = {"lines": data, "one_line": _one_line_body(data),
+            "lone_cr": data.replace(b"\n", b"\r"), "no_final_newline": data.rstrip()}[layout]
+    path.write_bytes(data)
+    # chunks shorter than a token, so some chunks hold no whitespace at all
+    for size in range(1, 48):
+        monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", size)
+        loaded = load_instance(path)
+        assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64)), size
+
+
+def test_blank_chunks_add_no_cost(tmp_path, monkeypatch):
+    # at some chunk size the blank tail is one chunk alone, which fromstring would read as -1.0
+    path = tmp_path / "inst.txt"
+    path.write_text("n_data=2\n0.5 0.25 1.0" + " " * 40 + "\n")
+    for size in range(1, 60):
+        monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", size)
+        with pytest.raises(DomainError, match="expected 2\\*\\*2 costs"):
+            load_instance(path)
+
+
+def test_bad_token_in_a_later_chunk_of_one_line_exits_2(n17_text, tmp_path, monkeypatch):
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 1 << 14)
+    data = _one_line_body(n17_text[0])
     at = data.index(b" ", len(data) * 2 // 3)
     path = tmp_path / "inst.txt"
     path.write_bytes(data[:at] + b" 0.5x" + data[at:])
