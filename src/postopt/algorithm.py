@@ -23,7 +23,10 @@ them.
 
 Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), a
 published, seedable algorithm, so sampled outcomes are reproducible for a
-fixed seed.
+fixed seed.  The sampled protocol draws through two tables built once per
+encoded state, the ancilla CDF and the post-selected data CDF, and gets from
+them the very indices `Generator.choice` would draw with the same `p` and
+stream; repeats on one state share the tables.
 
 Tolerance ladder, used package-wide: 1e-12 for algebraic identities, 1e-9
 for bound checks (float error accumulated over N terms), 5-sigma bands for
@@ -45,6 +48,7 @@ from .statevec import EPS_PROB, RegisterLayout, StateVector, uniform_superpositi
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
 ROW_BLOCK = 1 << 12  # Born grid rows squared at a time where the full grid is not kept
+CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # how far from 1 Generator.choice lets p sum
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,54 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     return 0.5 * float(rebuilt.sum())
 
 
+# The last state's sampling tables as (encoded state, ancilla CDF, data CDF or
+# None), one tuple so a reader never pairs a new state with old tables.  It
+# holds the state, so its id cannot be reused while it stands.
+_last_tables: tuple | None = None
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table `Generator.choice(len(p), size, p=p)` draws from, after its checks on `p`.
+
+    A caller that keeps it gets from `_draw` the same indices from the same
+    stream without rebuilding it per draw.
+    """
+    total = float(p.sum())
+    if math.isnan(total) or (p < 0).any() or abs(total - 1.0) > CHOICE_ATOL:
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` indices drawn through a `_choice_cdf` table, as `choice` with replacement does."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _sampling_tables(state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ancilla CDF and the post-selected data CDF of an encoded state.
+
+    The tables of the last state are kept and returned again while the same
+    state object (`is`) comes back.  The data table is None when the
+    ancilla-0 column has no weight, so that no draw can accept.
+    """
+    global _last_tables
+    last = _last_tables
+    if last is not None and last[0] is state:
+        return last[1], last[2]
+    _last_tables = None  # free the old tables before building the next
+
+    probs = np.square(state.grid())
+    anc_probs = probs.sum(0)
+    anc_cdf = _choice_cdf(anc_probs / anc_probs.sum())
+    accept = probs[:, 0]
+    accept_sum = accept.sum()
+    data_cdf = _choice_cdf(accept / accept_sum) if accept_sum > 0 else None
+    _last_tables = (state, anc_cdf, data_cdf)
+    return anc_cdf, data_cdf
+
+
 def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> TrialStats:
     """Sample the full protocol: prepare, encode, measure ancilla, retry on junk.
 
@@ -210,21 +262,21 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     accepted sample and every low-cost hit along the way (back-to-back
     repeat-until-success episodes); `first_hit_preparation` records when the
     first episode would have stopped.  Deterministic for a fixed seed.
+
+    Repeats on one encoded state share its two sampling tables, built on the
+    first repeat, and draw from them what `rng.choice` with the same `p`
+    would draw: the ancilla outcomes, then the data outcomes of the accepted
+    preparations.
     """
-    probs = np.square(encoded_state(instance, config).grid())
-    data_dim, anc_dim = probs.shape
+    anc_cdf, data_cdf = _sampling_tables(encoded_state(instance, config))
     rng = np.random.default_rng(config.seed)
     budget = config.max_preparations
 
-    anc_probs = probs.sum(0)
-    anc_draws = rng.choice(anc_dim, size=budget, p=anc_probs / anc_probs.sum())
-    accepted_at = np.nonzero(anc_draws == 0)[0]
+    accepted_at = np.nonzero(_draw(anc_cdf, rng, budget) == 0)[0]
 
     hits = np.zeros(0, dtype=bool)
     if accepted_at.size:
-        cond_data = probs[:, 0] / probs[:, 0].sum()
-        data_draws = rng.choice(data_dim, size=accepted_at.size, p=cond_data)
-        hits = instance.costs[data_draws] < config.c_tol
+        hits = instance.costs[_draw(data_cdf, rng, accepted_at.size)] < config.c_tol
 
     n_hits = int(hits.sum())
     first_hit = int(accepted_at[np.nonzero(hits)[0][0]]) + 1 if n_hits else None

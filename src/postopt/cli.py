@@ -59,6 +59,10 @@ TABLE_N_MAX = 20  # explicit cost tables stop being practical past 2**20 entries
 GROVER_T_MAX = 10**7  # grover:<t> steps cost O(t); 10^7 of them take about 3 s
 BUDGET_MAX = 10**7  # postselect draws --budget ancilla outcomes in one array, ~256 MiB at the cap
 REPEATS_MAX = 10**5  # compare runs every strategy --repeats times
+# a sweep holds every drawn configuration until its report: 2**n costs each plus
+# about 2 KiB of Python objects, counted here as 256 more float64 entries
+SWEEP_ENTRIES_MAX = 1 << 28  # 2 GiB of float64
+SWEEP_ITEM_ENTRIES = 256
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = ver.add_mutually_exclusive_group(required=True)
     source.add_argument("instance", nargs="?", help="instance file to verify")
     source.add_argument("--sweep", type=int, metavar="COUNT",
-                        help="verify COUNT randomized configurations instead of a file")
+                        help="verify COUNT randomized configurations instead of a file; "
+                             "COUNT * (2**n + 256) may not exceed 2**28")
     ver.add_argument("--n", type=int, help="cap on swept data qubit count (default 12)")
     ver.add_argument("--seed", type=int, help="sweep seed (default 0)")
     ver.add_argument("--encoder", help="identity | oracle:<tau> | cospow:<b> | linear "
@@ -310,6 +315,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigurationError("--sweep must be >= 1")
         if not 1 <= n_max <= TABLE_N_MAX:
             raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
+        if args.sweep * ((1 << n_max) + SWEEP_ITEM_ENTRIES) > SWEEP_ENTRIES_MAX:
+            raise ConfigurationError(f"--sweep {args.sweep} at --n {n_max} exceeds the cap of "
+                                     f"2**28 entries, COUNT * (2**n + {SWEEP_ITEM_ENTRIES})")
         swept = sweep_configurations(args.sweep, seed, n_max)
         records = [check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc in swept]
     else:
@@ -475,15 +483,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     flag = {"explicit": "costs", "number_partition": "weights"}.get(kind, "n")
     if getattr(args, flag) in (None, ""):
         raise ConfigurationError(f"--{flag} is required for kind={kind}")
-    n_data = args.n
     if flag != "n":  # the list flags are named after their generator parameter
         params = {flag: _parse_floats(getattr(args, flag), f"--{flag}")}
-        n_data = len(params[flag]).bit_length() - 1 if kind == "explicit" else len(params[flag])
+    elif kind == "uniform_random":
+        params = {"n_data": args.n, "low": args.low, "high": args.high}
     else:
-        params = ({"n_data": args.n, "low": args.low, "high": args.high}
-                  if kind == "uniform_random" else
-                  {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers})
-        check_params(kind, params)  # before the table cap, so before any allocation
+        params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
+    n_data = check_params(kind, params)[0]  # before the table cap, so before any table is built
 
     _check_table_cap(n_data)
     instance = generate(kind, params, args.seed)

@@ -74,11 +74,32 @@ def hamming_distances(n_data: int, center: int) -> np.ndarray:
     return dist
 
 
-def check_params(kind: str, params: dict) -> tuple[int, float, float] | tuple[int, float, int]:
-    """The scalar parameters of uniform_random or hamming_structured, parsed and checked.
+def check_params(kind: str, params: dict) -> tuple:
+    """The parameters of one generator kind, parsed and checked; n_data first.
 
-    It allocates nothing, so a caller can refuse a bad request before any work.
+    Returns (n_data,) for explicit, (n_data, weights) for number_partition,
+    (n_data, low, high) for uniform_random and (n_data, lipschitz, n_centers)
+    for hamming_structured.  It builds nothing the size of a cost table, so a
+    caller can refuse a bad request before any work.
     """
+    if kind == "explicit":
+        size = len(params["costs"])
+        n_data = size.bit_length() - 1
+        if size != 1 << n_data or size < 2:
+            raise ConfigurationError(f"explicit costs must number a power of two >= 2, got {size}")
+        return (n_data,)
+    if kind == "number_partition":
+        weights = np.asarray(params["weights"], dtype=float)
+        if weights.ndim != 1 or weights.size < 1 or not np.all(weights > 0):  # NaN fails > 0
+            raise ConfigurationError("number_partition needs a list of positive weights")
+        largest = 0.0  # the all-plus entry, summed in the table's order; it bounds every entry
+        for w in weights.tolist():
+            largest += w
+        if not math.isfinite(largest):
+            raise ConfigurationError("number_partition weights must have a finite sum")
+        return int(weights.size), weights
+    if kind not in ("uniform_random", "hamming_structured"):
+        raise ConfigurationError(f"unknown generator kind {kind!r}")
     n_data = int(params["n_data"])
     if kind == "uniform_random":
         low, high = float(params.get("low", 0.0)), float(params.get("high", 1.0))
@@ -88,8 +109,10 @@ def check_params(kind: str, params: dict) -> tuple[int, float, float] | tuple[in
         return n_data, low, high
     lipschitz = float(params.get("lipschitz", 1.0))
     n_centers = int(params.get("n_centers", 3))
-    # the offsets are drawn from [0, L*n/2), which must be finite
-    if (n_data < 1 or not lipschitz > 0 or not math.isfinite(lipschitz * n_data / 2.0)
+    # the largest cone value, an offset below L*n/2 plus L times a distance of at most n,
+    # must be finite
+    if (n_data < 1 or not lipschitz > 0
+            or not math.isfinite(lipschitz * n_data / 2.0 + lipschitz * n_data)
             or not 1 <= n_centers <= CENTERS_MAX):
         raise ConfigurationError(f"bad hamming_structured params {params}")
     return n_data, lipschitz, n_centers
@@ -109,28 +132,20 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
                           offset_c + L * hamming(k, c), so every single-bit
                           flip changes the cost by at most L
     """
+    parsed = check_params(kind, params)
     rng = np.random.default_rng(seed)
     provenance = {"kind": kind, "seed": int(seed), "params": dict(params)}
 
     if kind == "explicit":
-        costs = np.asarray(params["costs"], dtype=float)
-        n_data = int(costs.size).bit_length() - 1
-        if costs.size != 1 << n_data or costs.size < 2:
-            raise ConfigurationError(
-                f"explicit costs must number a power of two >= 2, got {costs.size}"
-            )
-        return CostInstance(n_data, costs, provenance)
+        return CostInstance(parsed[0], np.asarray(params["costs"], dtype=float), provenance)
 
     if kind == "uniform_random":
-        n_data, low, high = check_params(kind, params)
+        n_data, low, high = parsed
         costs = rng.uniform(low, high, size=1 << n_data)
         return CostInstance(n_data, costs, provenance)
 
     if kind == "number_partition":
-        weights = np.asarray(params["weights"], dtype=float)
-        if weights.ndim != 1 or weights.size < 1 or np.any(weights <= 0):
-            raise ConfigurationError("number_partition needs a list of positive weights")
-        n_data = int(weights.size)
+        n_data, weights = parsed
         # by doubling, the weights added in order i = 0..n-1; bit i set -> minus
         signed = np.zeros(1 << n_data)
         for i, w in enumerate(weights):
@@ -138,18 +153,15 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
             signed[:1 << i] += w
         return CostInstance(n_data, np.abs(signed, out=signed), provenance)
 
-    if kind == "hamming_structured":
-        n_data, lipschitz, n_centers = check_params(kind, params)
-        centers = rng.integers(0, 1 << n_data, size=n_centers)
-        offsets = np.sort(rng.uniform(0.0, lipschitz * n_data / 2.0, size=n_centers))
-        offsets[0] = 0.0  # pin the global minimum at the first center
-        # min over L-Lipschitz cones is L-Lipschitz in Hamming distance
-        costs = np.full(1 << n_data, np.inf)
-        for c, off in zip(centers, offsets):
-            np.minimum(costs, off + lipschitz * hamming_distances(n_data, int(c)), out=costs)
-        return CostInstance(n_data, costs, provenance)
-
-    raise ConfigurationError(f"unknown generator kind {kind!r}")
+    n_data, lipschitz, n_centers = parsed
+    centers = rng.integers(0, 1 << n_data, size=n_centers)
+    offsets = np.sort(rng.uniform(0.0, lipschitz * n_data / 2.0, size=n_centers))
+    offsets[0] = 0.0  # pin the global minimum at the first center
+    # min over L-Lipschitz cones is L-Lipschitz in Hamming distance
+    costs = np.full(1 << n_data, np.inf)
+    for c, off in zip(centers, offsets):
+        np.minimum(costs, off + lipschitz * hamming_distances(n_data, int(c)), out=costs)
+    return CostInstance(n_data, costs, provenance)
 
 
 _PARSE_BLOCK_BYTES = 1 << 20  # bytes of text read per chunk, parsed by one np.fromstring call

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import postopt.algorithm as algorithm
+import postopt.encoding as encoding
 from postopt.algorithm import (
     RunConfig,
     chain_decomposition,
@@ -467,6 +468,61 @@ def test_rtus_estimate_tracks_exact_p_joint():
     p = exact_analysis(inst, config).p_joint
     sigma = math.sqrt(p * (1 - p) / config.max_preparations)
     assert abs(stats.p_joint_estimate - p) < 5 * sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 1 << 10), size=st.integers(0, 5000), seed=st.integers(0, 2**63 - 1),
+       zero_share=st.floats(0.0, 1.0))
+def test_choice_table_draws_what_rng_choice_draws(n, size, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n)
+    weights[rng.random(n) < zero_share] = 0.0  # exact zeros, up to all but one entry
+    weights[rng.integers(n)] = 1.0
+    p = weights / weights.sum()
+    by_choice, by_table = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = by_choice.choice(n, size, p=p)
+    got = algorithm._draw(algorithm._choice_cdf(p), by_table, size)
+    assert np.array_equal(got, want)
+    assert by_table.random() == by_choice.random()  # the stream advanced alike
+
+
+@pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [0.5, np.nan], [0.5, 0.4]],
+                         ids=["negative", "nan", "short_of_one"])
+def test_choice_table_keeps_the_checks_on_p(p):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), 1, p=p)
+    with pytest.raises(ValueError):
+        algorithm._choice_cdf(np.array(p))
+
+
+def test_rtus_interleaved_configurations_match_fresh_runs():
+    # each call must draw from its own state's tables, never from the last call's
+    inst = generate("uniform_random", {"n_data": 6}, seed=11)
+    c_tol = float(np.quantile(inst.costs, 0.25))
+    first = RunConfig(c_tol=c_tol, encoder=COSPOW1, max_preparations=3000, seed=5)
+    configs = [first, replace(first, junk=JunkPolicy.SPREAD, n_anc=3), replace(first, n_anc=2),
+               replace(first, encoder=AmplitudeEncoder.cosine_power(8))]
+
+    def fresh(config):
+        encoding._last_encoding = None
+        algorithm._last_tables = None
+        return run_repeat_until_success(inst, config)
+
+    want = [fresh(config) for config in configs]
+    assert want[0] != want[-1]
+    for _ in range(2):
+        for config, expected in zip(configs, want):
+            assert run_repeat_until_success(inst, config) == expected
+
+
+def test_rtus_builds_no_data_table_when_nothing_can_accept(monkeypatch):
+    builds = []
+    original = algorithm._choice_cdf
+    monkeypatch.setattr(algorithm, "_choice_cdf", lambda p: builds.append(p) or original(p))
+    inst = generate("explicit", {"costs": [2.0, 2.0]})
+    config = RunConfig(c_tol=1.0, encoder=AmplitudeEncoder.oracle_threshold(1.0), seed=3)
+    assert run_repeat_until_success(inst, config).accepted_samples == 0
+    assert len(builds) == 1
 
 
 def test_run_config_validation():

@@ -208,6 +208,18 @@ def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkey
     assert len(calls) == 1
 
 
+def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, monkeypatch):
+    import postopt.algorithm as algorithm
+
+    builds = []
+    original = algorithm._choice_cdf
+    monkeypatch.setattr(algorithm, "_choice_cdf", lambda p: builds.append(p) or original(p))
+    demo = write_demo(tmp_path)
+    assert main(["compare", str(demo), "--c-tol", "3", "--strategy", "postselect",
+                 "--repeats", "5", "--budget", "200"]) == 0
+    assert len(builds) == 2  # the ancilla table and the post-selected data table
+
+
 def test_one_verify_record_holds_at_most_three_real_grids():
     # the uniform state, its encoding and the rebuilt TV grid, each float64, plus O(N)
     inst = generate("uniform_random", {"n_data": 14}, seed=8)
@@ -385,6 +397,8 @@ MALFORMED_ARGV = {
     "compare_inf_c_tol": ["compare", "{demo}", "--c-tol", "inf", "--strategy", "random"],
     "sweep_n_zero": ["verify", "--sweep", "2", "--n", "0"],
     "sweep_n_over_cap": ["verify", "--sweep", "2", "--n", str(TABLE_N_MAX + 1)],
+    # every drawn configuration is held until the report; 10^8 of them used to start drawing
+    "sweep_over_cap": ["verify", "--sweep", str(10**8), "--n", "1"],
     "json_cost_not_a_number": ["verify", "{bad_costs}", "--c-tol", "1"],
     "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
     # a header past int's 4300-digit str limit, 2**n_data as a huge integer, int(inf)
@@ -408,6 +422,15 @@ MALFORMED_ARGV = {
                                "--lipschitz", "nan", "-o", "{out}"],
     "generate_lipschitz_overflows": ["generate", "--kind", "hamming_structured", "--n", "4",
                                      "--lipschitz", "1e308", "-o", "{out}"],
+    "generate_lipschitz_cone_overflows": ["generate", "--kind", "hamming_structured", "--n",
+                                          "20", "--lipschitz", "8e306", "-o", "{out}"],
+    # these built the table, with an overflow warning for the first, before refusing it
+    "generate_weights_sum_overflows": ["generate", "--kind", "number_partition", "--weights",
+                                       "1e308,1e308", "-o", "{out}"],
+    "generate_weights_nan": ["generate", "--kind", "number_partition", "--weights", "nan,1",
+                             "-o", "{out}"],
+    "generate_explicit_not_a_power_of_two": ["generate", "--kind", "explicit", "--costs",
+                                             "1,2,3", "-o", "{out}"],
     # one N-sized cone per center used to be built before any check
     "generate_centers_over_cap": ["generate", "--kind", "hamming_structured", "--n", "4",
                                   "--centers", str(CENTERS_MAX + 1), "-o", "{out}"],
@@ -437,6 +460,16 @@ MALFORMED_ARGV = {
     "loaded_file_over_cap_verify": ["verify", "{demo}", "--c-tol", "3"],
     "loaded_file_over_cap_compare": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random"],
 }
+
+
+@pytest.mark.parametrize("count, n_max", [(1000, 12), (300, 14), (255, TABLE_N_MAX)])
+def test_sweep_cap_admits_the_benchmark_sizes(count, n_max, monkeypatch):
+    import postopt.cli as cli
+
+    drawn = []
+    monkeypatch.setattr(cli, "sweep_configurations", lambda *args: drawn.append(args) or [])
+    assert main(["verify", "--sweep", str(count), "--n", str(n_max)]) == 0
+    assert drawn == [(count, 0, n_max)]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
