@@ -133,6 +133,8 @@ def test_generator_bad_params():
     ("hamming_structured", {"n_data": 4, "lipschitz": np.nan}),
     ("hamming_structured", {"n_data": 4, "lipschitz": np.inf}),
     ("hamming_structured", {"n_data": 4, "lipschitz": 1e308}),
+    ("hamming_structured", {"n_data": 4, "n_centers": 0}),
+    ("hamming_structured", {"n_data": 4, "n_centers": costfn.CENTERS_MAX + 1}),
     # the offsets fit, but the largest cone value L*n/2 + L*n does not
     ("hamming_structured", {"n_data": 20, "lipschitz": 8e306}),
     # the table was built, overflowing for the first, before these were refused
@@ -141,8 +143,6 @@ def test_generator_bad_params():
     ("number_partition", {"weights": [np.inf, 1.0]}),
     ("number_partition", {"weights": [1.0, 0.0]}),
     ("explicit", {"costs": [1.0, 2.0, 3.0]}),
-    ("hamming_structured", {"n_data": 4, "n_centers": 0}),
-    ("hamming_structured", {"n_data": 4, "n_centers": costfn.CENTERS_MAX + 1}),
 ])
 def test_generator_refuses_overflowing_or_oversized_params(kind, params):
     with pytest.raises(ConfigurationError):
