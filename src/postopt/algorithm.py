@@ -12,21 +12,17 @@ strictly below c_tol.  `chain_decomposition` evaluates p(A & B) three ways
 compares the two measurement orderings at the distribution level, and
 `run_repeat_until_success` is the sampled protocol.
 
-Every quantity is read off one array, the encoded state's Born grid
-P[k, a] = |amp(k, a)|^2, squared as amp(k, a)^2 since the encoded amplitudes
-are real (x * x and |x| * |x| round alike): p_first is the ancilla-0 column
-sum, the post-selected data distribution is that column renormalized, and
-the two register marginals are the row and column sums.  The measurement
-functions in `statevec` (`postselect`, `marginal_*`, `joint_distribution`)
-compute the same quantities the long way; the tests hold this module to
-them.
+Every quantity is a sum over the encoded instance's Born weights, O(N) of
+them whatever n_anc is: p_first is the ancilla-0 column sum, the
+post-selected data distribution is that column renormalized, and the
+register marginals are row and column sums.  The `statevec` measurement
+functions compute the same quantities the long way on the dense state; the
+tests hold this module to them.
 
-Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), a
-published, seedable algorithm, so sampled outcomes are reproducible for a
-fixed seed.  The sampled protocol draws through two tables built once per
-encoded state, the ancilla CDF and the post-selected data CDF, and gets from
-them the very indices `Generator.choice` would draw with the same `p` and
-stream; repeats on one state share the tables.
+Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), so
+sampled outcomes are reproducible for a fixed seed.  The sampled protocol
+draws through the encoded instance's ancilla CDF and post-selected data CDF
+the very indices `Generator.choice` would draw with the same `p` and stream.
 
 Tolerance ladder, used package-wide: 1e-12 for algebraic identities, 1e-9
 for bound checks (float error accumulated over N terms), 5-sigma bands for
@@ -41,14 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costfn import CostInstance, count_below
-from .encoding import AmplitudeEncoder, JunkPolicy, encode
+from .encoding import AmplitudeEncoder, EncodedInstance, JunkPolicy, encode
 from .errors import ConfigurationError
-from .statevec import EPS_PROB, RegisterLayout, StateVector, uniform_superposition
+from .statevec import EPS_PROB, RegisterLayout, uniform_superposition
 
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
-ROW_BLOCK = 1 << 12  # Born grid rows squared at a time where the full grid is not kept
-CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # how far from 1 Generator.choice lets p sum
 
 
 @dataclass(frozen=True)
@@ -117,22 +111,15 @@ class TrialStats:
     first_hit_preparation: int | None
 
 
-def encoded_state(instance: CostInstance, config: RunConfig) -> StateVector:
+def encoded_state(instance: CostInstance, config: RunConfig) -> EncodedInstance:
     """Prepare |psi_0> and run the cost encoding for this configuration."""
     layout = RegisterLayout(instance.n_data, config.n_anc)
     return encode(uniform_superposition(layout), instance, config.encoder, config.junk)
 
 
-def _born_blocks(grid: np.ndarray):
-    """(rows, P[rows]) over the Born grid, ROW_BLOCK rows at a time."""
-    for start in range(0, len(grid), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        yield rows, np.square(grid[rows])
-
-
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     """Success probabilities of one attempt, from the exact amplitudes."""
-    accept = np.square(encoded_state(instance, config).grid()[:, 0])  # Born column P[:, 0]
+    accept = encoded_state(instance, config).accept
     n = instance.size
     m = count_below(instance, config.c_tol)
     low = instance.costs < config.c_tol
@@ -155,8 +142,8 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     state, p(A & B) = (M/N) * p(B|A) <= M/N, which is the entire reason the
     scheme cannot beat random search.
     """
-    grid = encoded_state(instance, config).grid()
-    accept = np.square(grid[:, 0])
+    encoded = encoded_state(instance, config)
+    accept = encoded.accept
     low = instance.costs < config.c_tol
     direct = float(accept[low].sum())
 
@@ -169,9 +156,7 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     via_cost = None
     p_b_given_a = None
     if low.any():
-        data_marg = np.empty(len(grid))  # row sums of the Born grid, a block at a time
-        for rows, probs in _born_blocks(grid):
-            probs.sum(1, out=data_marg[rows])
+        data_marg = accept + encoded.junk_repeats * encoded.junk_column  # Born grid row sums
         p_a = float(data_marg[low].sum())
         cond_b_given_k = np.divide(accept, data_marg, out=np.zeros_like(data_marg),
                                    where=data_marg > EPS_PROB)
@@ -184,74 +169,24 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
 def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> float:
     """Total variation distance between the two measurement orderings.
 
-    Builds the distribution over (data, ancilla) outcomes once from the joint
-    Born rule and once as ancilla-marginal times post-selected data
-    conditional, column by column over ancilla outcomes.  The law of total
-    probability says the distance is zero; the contract allows 1e-10 of
-    float slack.
-
-    One full-size float buffer: it starts as the Born grid, is rebuilt in
-    place, and the Born grid is squared again a block of rows at a time to
-    subtract.  A dead column divides by inf and rebuilds to 0.
+    Compares the distribution over (data, ancilla) outcomes from the joint
+    Born rule with ancilla-marginal times post-selected data conditional,
+    column by column over the distinct ancilla column shapes, the repeated
+    junk column counting once per repeat.  The law of total probability says
+    the distance is zero; the contract allows 1e-10 of float slack.
     """
-    grid = encoded_state(instance, config).grid()
-    rebuilt = np.square(grid)
-    anc = rebuilt.sum(0)
-    live = anc > EPS_PROB
-    rebuilt /= np.where(live, anc, np.inf)
-    rebuilt *= anc
-    for rows, probs in _born_blocks(grid):
-        rebuilt[rows] -= probs
-    np.abs(rebuilt, out=rebuilt)
-    return 0.5 * float(rebuilt.sum())
-
-
-# The last state's sampling tables as (encoded state, ancilla CDF, data CDF or
-# None), one tuple so a reader never pairs a new state with old tables.  It
-# holds the state, so its id cannot be reused while it stands.
-_last_tables: tuple | None = None
-
-
-def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The table `Generator.choice(len(p), size, p=p)` draws from, after its checks on `p`.
-
-    A caller that keeps it gets from `_draw` the same indices from the same
-    stream without rebuilding it per draw.
-    """
-    total = float(p.sum())
-    if math.isnan(total) or (p < 0).any() or abs(total - 1.0) > CHOICE_ATOL:
-        raise ValueError("probabilities must be non-negative and sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    encoded = encoded_state(instance, config)
+    distance = 0.0
+    for column, repeats in ((encoded.accept, 1), (encoded.junk_column, encoded.junk_repeats)):
+        p_a = float(column.sum())
+        rebuilt = column / p_a * p_a if p_a > EPS_PROB else 0.0  # no weight, no conditional
+        distance += repeats * float(np.abs(rebuilt - column).sum())
+    return 0.5 * distance
 
 
 def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` indices drawn through a `_choice_cdf` table, as `choice` with replacement does."""
     return cdf.searchsorted(rng.random(size), side="right")
-
-
-def _sampling_tables(state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ancilla CDF and the post-selected data CDF of an encoded state.
-
-    The tables of the last state are kept and returned again while the same
-    state object (`is`) comes back.  The data table is None when the
-    ancilla-0 column has no weight, so that no draw can accept.
-    """
-    global _last_tables
-    last = _last_tables
-    if last is not None and last[0] is state:
-        return last[1], last[2]
-    _last_tables = None  # free the old tables before building the next
-
-    probs = np.square(state.grid())
-    anc_probs = probs.sum(0)
-    anc_cdf = _choice_cdf(anc_probs / anc_probs.sum())
-    accept = probs[:, 0]
-    accept_sum = accept.sum()
-    data_cdf = _choice_cdf(accept / accept_sum) if accept_sum > 0 else None
-    _last_tables = (state, anc_cdf, data_cdf)
-    return anc_cdf, data_cdf
 
 
 def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> TrialStats:
@@ -263,12 +198,12 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     repeat-until-success episodes); `first_hit_preparation` records when the
     first episode would have stopped.  Deterministic for a fixed seed.
 
-    Repeats on one encoded state share its two sampling tables, built on the
-    first repeat, and draw from them what `rng.choice` with the same `p`
+    Repeats on one encoded instance share its two sampling tables, built on
+    the first repeat, and draw from them what `rng.choice` with the same `p`
     would draw: the ancilla outcomes, then the data outcomes of the accepted
     preparations.
     """
-    anc_cdf, data_cdf = _sampling_tables(encoded_state(instance, config))
+    anc_cdf, data_cdf = encoded_state(instance, config).sampling_tables
     rng = np.random.default_rng(config.seed)
     budget = config.max_preparations
 

@@ -219,7 +219,10 @@ def load_instance(path: str | Path) -> CostInstance:
         # truncate 2.7 to 2, and true is an int in Python
         if type(n_data) is not int:
             raise TypeError(f"n_data must be an integer, got {n_data!r}")
-        costs = np.asarray(payload["costs"], dtype=float)
+        costs = payload["costs"]
+        if isinstance(costs, list) and bool in map(type, costs):  # float() reads true as 1.0
+            raise TypeError("costs must be numbers, got a boolean")
+        costs = np.asarray(costs, dtype=float)
         costs.flags.writeable = False  # handed over, not copied
         return CostInstance(n_data, costs, dict(payload.get("provenance", {})))
     # JSONDecodeError and UnicodeDecodeError are ValueErrors; a cost integer past float

@@ -6,6 +6,9 @@ amplitude assigned to cost C(k), and routes the leftover sqrt(1 - a_k^2)/sqrt(N)
 onto nonzero ancilla outcomes according to the junk policy.  The map is an
 isometry on its domain, so the output is again normalized.
 
+`encode` returns that state as an `EncodedInstance`, the O(N) Born weights
+of its distinct ancilla columns; its 2**(n_data + n_anc) grid is never built.
+
 Encoder families, named by their specs (u = cost / c_max after the shift):
 
     identity     a = 1
@@ -21,14 +24,17 @@ any finite instance; the oracle compares the raw costs with t, as
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costfn import CostInstance
-from .errors import ConfigurationError
-from .statevec import NORM_ATOL, StateVector, uniform_superposition
+from .errors import ConfigurationError, DomainError
+from .statevec import NORM_ATOL, RegisterLayout, StateVector, read_only_view, uniform_superposition
+
+CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # how far from 1 Generator.choice lets p sum
 
 
 class JunkPolicy(str, enum.Enum):
@@ -106,6 +112,61 @@ def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np
     return 1.0 - u
 
 
+@dataclass(frozen=True, eq=False)
+class EncodedInstance:
+    """The encoded state as its Born weights, one array per distinct ancilla column.
+
+    Row k of the Born grid P[k, a] = amp(k, a)^2 holds `accept[k]` = a_k^2/N
+    on ancilla 0...0 and `junk_column[k]` on each of `junk_repeats` junk
+    outcomes, which share (1 - a_k^2)/N equally: outcome 0...01 alone for
+    CONCENTRATED, all 2**n_anc - 1 nonzero ones for SPREAD.  Every other
+    entry is 0.  Both arrays are read-only views.
+    """
+
+    layout: RegisterLayout
+    junk: JunkPolicy
+    accept: np.ndarray = field(repr=False)
+    junk_column: np.ndarray = field(repr=False)
+    junk_repeats: int
+
+    def __post_init__(self) -> None:
+        total = float(self.accept.sum()) + self.junk_repeats * float(self.junk_column.sum())
+        if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
+            raise DomainError(f"Born weights sum to {total}, not 1 within {NORM_ATOL}")
+        object.__setattr__(self, "accept", read_only_view(self.accept))
+        object.__setattr__(self, "junk_column", read_only_view(self.junk_column))
+
+    @functools.cached_property
+    def sampling_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The ancilla CDF and the post-selected data CDF, built on first use.
+
+        Their `p` vectors round as the dense grid's column sums and its
+        renormalized column 0 do, so the draws equal `rng.choice` draws on
+        that grid.  The data table is None when no draw can accept.
+        """
+        sums = np.stack([self.accept, self.junk_column], axis=1).sum(0)
+        anc = np.zeros(self.layout.anc_dim)
+        anc[0] = sums[0]
+        anc[1:1 + self.junk_repeats] = sums[1]
+        accept_sum = self.accept.sum()
+        data_cdf = _choice_cdf(self.accept / accept_sum) if accept_sum > 0 else None
+        return _choice_cdf(anc / anc.sum()), data_cdf
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table `Generator.choice(len(p), size, p=p)` draws from, after its checks on `p`.
+
+    A caller that keeps it gets the same indices from the same stream by
+    searching it with `rng.random(size)`, without rebuilding it per draw.
+    """
+    total = float(p.sum())
+    if math.isnan(total) or (p < 0).any() or abs(total - 1.0) > CHOICE_ATOL:
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 # The last call's (state, instance, encoder, junk, result), as one tuple so a
 # reader never pairs a new key with an old result.  It holds the state and the
 # instance, so their ids cannot be reused while it stands.
@@ -117,7 +178,7 @@ def encode(
     instance: CostInstance,
     encoder: AmplitudeEncoder,
     junk: JunkPolicy = JunkPolicy.CONCENTRATED,
-) -> StateVector:
+) -> EncodedInstance:
     """Entangle the ancilla with the cost of each data state.
 
     `state` must be the uniform superposition with ancilla 0...0 over the
@@ -126,20 +187,19 @@ def encode(
     state's amplitudes must match that state's within NORM_ATOL elementwise
     (`np.allclose`), or else ConfigurationError is raised.  Output amplitude
     on |k, 0...0> is a_k/sqrt(N); the failure weight goes to nonzero ancilla
-    outcomes per the junk policy.  All of them are real, so the encoded state
-    is a float64 grid.
+    outcomes per the junk policy.
 
     The result of the last call is kept and returned again, the same object,
     while the call repeats: the same `state` and `instance` objects (`is`;
     both are immutable) and an equal encoder and junk policy.  Any other call
-    drops it before it checks its input and builds a new state.
+    drops it before it checks its input and builds a new one.
     """
     global _last_encoding
     last = _last_encoding
     if (last is not None and last[0] is state and last[1] is instance
             and last[2] == encoder and last[3] == junk):
         return last[4]
-    _last_encoding = last = None  # free the old state before building the next
+    _last_encoding = last = None  # free the old result before building the next
 
     layout = state.layout
     if layout.n_data != instance.n_data:
@@ -152,18 +212,18 @@ def encode(
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
     amps = instance_amplitudes(encoder, instance)
-    fail = np.sqrt(np.clip(1.0 - amps**2, 0.0, None))
     root_n = np.sqrt(layout.data_dim)
-
-    grid = np.zeros((layout.data_dim, layout.anc_dim))
-    grid[:, 0] = amps / root_n
+    junk_column = np.sqrt(np.clip(1.0 - amps**2, 0.0, None)) / root_n
     if junk == JunkPolicy.CONCENTRATED:
-        grid[:, 1] = fail / root_n
+        repeats = 1
     elif junk == JunkPolicy.SPREAD:
-        grid[:, 1:] = (fail / root_n / np.sqrt(layout.anc_dim - 1))[:, None]
+        repeats = layout.anc_dim - 1
+        junk_column /= np.sqrt(repeats)
     else:
         raise ConfigurationError(f"unknown junk policy {junk!r}")
-    grid.flags.writeable = False  # handed over, not copied
-    encoded = StateVector(layout, grid.reshape(-1))
+    accept = np.square(amps / root_n)
+    np.square(junk_column, out=junk_column)
+    accept.flags.writeable = junk_column.flags.writeable = False  # handed over, not copied
+    encoded = EncodedInstance(layout, junk, accept, junk_column, repeats)
     _last_encoding = (state, instance, encoder, junk, encoded)
     return encoded

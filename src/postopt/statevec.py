@@ -7,27 +7,25 @@ Basis-state indexing packs both registers into one integer::
 so ``amplitudes.reshape(2**n_data, 2**n_anc)[k, a]`` is the amplitude of
 |k, a>.  Post-selection on an ancilla outcome is then a strided slice.
 
-The production path (`algorithm`) reads every probability straight off the
-Born grid |grid()|^2.  The measurement functions here -- `marginal_*`,
-`postselect`, `joint_distribution` -- take the long way through explicit
-conditional states and outcome distributions; they are the independent
-reference that the tests compare `algorithm` against.
+The production path builds no dense state but the uniform one: `algorithm`
+reads the O(N) Born weights that `encoding.encode` returns.  The measurement
+functions here -- `marginal_*`, `postselect`, `joint_distribution` -- take
+the long way through explicit conditional states and outcome distributions;
+the tests compare `algorithm` against them on a dense encoded state.
 
 A state's dtype follows its amplitudes: complex input is stored as
-complex128, anything else as float64.  The uniform and encoded states have
-real amplitudes, so they are float64 grids, half the bytes of complex ones.
+complex128, anything else as float64.  The uniform state has real
+amplitudes, so it is a float64 grid, half the bytes of a complex one.
 
 All operations are pure: they never mutate their inputs, and a constructor
 copies a writable input array rather than freeze the caller's.  Amplitude
 arrays are read-only views, so states can be shared across concurrent tasks.
 The views guard against accidental writes only: ``x.base.obj`` still reaches
-the owning array, which numpy lets a caller mark writable again.  States are
-shared between calls: `uniform_superposition` keeps the uniform state of the
-last layout, and `encoding.encode` keeps the last encoded state with the
-input state it was built from.  `encode` takes that shared uniform object as
-it is and checks any other input against it with `np.allclose`.  On the
-production path the input is the kept uniform state, so up to two states
-stay alive, at most 256 MiB at the 24-qubit cap.
+the owning array, which numpy lets a caller mark writable again.
+`uniform_superposition` keeps the uniform state of the last layout, so
+repeated calls share one object, and `encoding.encode` keeps that object as
+the key of its last result.  It is the one dense state the production path
+holds, at most 128 MiB at the 24-qubit cap.
 """
 
 from __future__ import annotations

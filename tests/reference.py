@@ -1,0 +1,62 @@
+"""The dense encoded state and a sampler that draws on it: the reference for `algorithm`.
+
+`encode` builds the whole (2**n_data, 2**n_anc) amplitude grid of the encoded
+state, as a `statevec.StateVector`, so that the `statevec` measurement
+functions can measure it the long way.  The production path holds only the
+Born weights of the distinct ancilla columns; the tests hold it to this.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from postopt.algorithm import RunConfig, TrialStats
+from postopt.costfn import CostInstance
+from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
+from postopt.statevec import RegisterLayout, StateVector
+
+
+def encode(instance: CostInstance, encoder: AmplitudeEncoder,
+           junk: JunkPolicy = JunkPolicy.CONCENTRATED, n_anc: int = 1) -> StateVector:
+    """The encoded state: a_k/sqrt(N) on |k, 0...0>, the failure amplitude on junk outcomes."""
+    layout = RegisterLayout(instance.n_data, n_anc)
+    amps = instance_amplitudes(encoder, instance)
+    fail = np.sqrt(np.clip(1.0 - amps**2, 0.0, None))
+    root_n = np.sqrt(layout.data_dim)
+
+    grid = np.zeros((layout.data_dim, layout.anc_dim))
+    grid[:, 0] = amps / root_n
+    if junk == JunkPolicy.CONCENTRATED:
+        grid[:, 1] = fail / root_n
+    else:
+        grid[:, 1:] = (fail / root_n / np.sqrt(layout.anc_dim - 1))[:, None]
+    return StateVector(layout, grid.reshape(-1))
+
+
+def encoded_state(instance: CostInstance, config: RunConfig) -> StateVector:
+    """The dense encoded state of one configuration."""
+    return encode(instance, config.encoder, config.junk, config.n_anc)
+
+
+def choice_p(instance: CostInstance, config: RunConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """The `p` of each draw: the grid's column sums, then its column 0, normalized.
+
+    The second is None when column 0 has no weight.
+    """
+    probs = np.square(encoded_state(instance, config).grid())
+    anc, accept = probs.sum(0), probs[:, 0]
+    return anc / anc.sum(), accept / accept.sum() if accept.sum() > 0 else None
+
+
+def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> TrialStats:
+    """The sampled protocol through `rng.choice` on the dense grid's Born weights."""
+    anc_p, data_p = choice_p(instance, config)
+    rng = np.random.default_rng(config.seed)
+    budget = config.max_preparations
+    accepted_at = np.nonzero(rng.choice(len(anc_p), budget, p=anc_p) == 0)[0]
+    hits = np.zeros(0, dtype=bool)
+    if accepted_at.size:
+        hits = instance.costs[rng.choice(len(data_p), accepted_at.size, p=data_p)] < config.c_tol
+    n_hits = int(hits.sum())
+    first_hit = int(accepted_at[np.nonzero(hits)[0][0]]) + 1 if n_hits else None
+    return TrialStats(budget, int(accepted_at.size), n_hits, n_hits / budget, first_hit)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import postopt.algorithm as algorithm
 import postopt.encoding as encoding
+import reference
 from postopt.algorithm import (
     RunConfig,
     chain_decomposition,
@@ -272,97 +273,12 @@ def test_sequential_vs_joint_random_sweep():
         assert sequential_vs_joint_check(inst, config) <= 1e-10
 
 
-def _tv_masked_rebuild(inst, config):
-    """The TV distance as a masked column rebuild on fresh arrays: the in-place reference."""
-    probs = np.abs(encoded_state(inst, config).grid()) ** 2
-    anc = probs.sum(0)
-    live = anc > EPS_PROB
-    rebuilt = np.zeros_like(probs)
-    rebuilt[:, live] = anc[live] * (probs[:, live] / anc[live])
-    return 0.5 * float(np.abs(probs - rebuilt).sum())
-
-
-@pytest.mark.parametrize("junk", list(JunkPolicy))
-@pytest.mark.parametrize("n_anc", [1, 2, 3])
-def test_sequential_vs_joint_equals_masked_rebuild_bit_for_bit(junk, n_anc, monkeypatch):
-    cases = [(inst, replace(config, junk=junk, n_anc=n_anc))
-             for inst, config in random_configurations(25, seed=100 * n_anc + len(junk.value))]
-    cases.append((demo(), RunConfig(c_tol=3.0, encoder=IDENTITY, junk=junk, n_anc=n_anc)))
-    below_min = AmplitudeEncoder.oracle_threshold(0.5)  # every a_k = 0: column 0 is dead
-    cases.append((demo(), RunConfig(c_tol=3.0, encoder=below_min, junk=junk, n_anc=n_anc)))
-    # 2**16 rows: many row blocks at the default ROW_BLOCK
-    big = generate("uniform_random", {"n_data": 16}, seed=7 * n_anc)
-    cases.append((big, RunConfig(c_tol=0.1, encoder=AmplitudeEncoder.cosine_power(2),
-                                 junk=junk, n_anc=n_anc)))
-    assert big.size >= 3 * algorithm.ROW_BLOCK
-    nonzero = 0
-    for inst, config in cases:
-        want = _tv_masked_rebuild(inst, config)
-        # the default blocks, then 3-row blocks: many per case, the last one short
-        for block in (algorithm.ROW_BLOCK, 3):
-            monkeypatch.setattr(algorithm, "ROW_BLOCK", block)
-            tv = sequential_vs_joint_check(inst, config)
-            assert tv == want
-        monkeypatch.undo()
-        nonzero += tv > 0.0
-    assert nonzero >= len(cases) // 4  # most cases carry float residue to compare
-
-
-def _full_grid_reads(inst, config):
-    """exact_analysis's and chain_decomposition's numbers off the full Born grid.
-
-    The reference for the column-0 and row-block reads: the same formulas on
-    one full-size array.
-    """
-    probs = np.abs(encoded_state(inst, config).grid())
-    probs *= probs
-    low = inst.costs < config.c_tol
-    p_first = float(probs[:, 0].sum())
-    exact = (p_first, None, 0.0, probs[:, 0].copy())
-    via_ancilla = None
-    if p_first > EPS_PROB:
-        cond_data = probs[:, 0] / p_first
-        p_cond = float(cond_data[low].sum())
-        exact = (p_first, p_cond, p_first * p_cond, p_first * cond_data)
-        via_ancilla = float((probs[:, 0] / p_first)[low].sum()) * p_first
-    via_cost = p_b_given_a = None
-    if low.any():
-        data_marg = probs.sum(1)
-        p_a = float(data_marg[low].sum())
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_b_given_k = np.where(data_marg > EPS_PROB, probs[:, 0] / data_marg, 0.0)
-        p_b_given_a = float((data_marg[low] * cond_b_given_k[low]).sum()) / p_a
-        via_cost = p_b_given_a * p_a
-    chain = (float(probs[low, 0].sum()), via_ancilla, via_cost, p_b_given_a)
-    return exact, chain
-
-
-def test_exact_and_chain_equal_full_grid_reads_bit_for_bit(monkeypatch):
-    cases = random_configurations(60, seed=808)
-    cases.append((demo(), RunConfig(c_tol=3.0, encoder=AmplitudeEncoder.oracle_threshold(0.5))))
-    cases.append((demo(), RunConfig(c_tol=0.5, encoder=IDENTITY, n_anc=2)))  # M = 0
-    for n_anc, junk in ((1, JunkPolicy.CONCENTRATED), (3, JunkPolicy.SPREAD)):
-        big = generate("hamming_structured", {"n_data": 16}, seed=n_anc)  # many row blocks
-        cases.append((big, RunConfig(c_tol=float(np.quantile(big.costs, 0.25)),
-                                     encoder=AmplitudeEncoder.linear(), junk=junk, n_anc=n_anc)))
-    for inst, config in cases:
-        (p_first, p_cond, p_joint, products), chain_want = _full_grid_reads(inst, config)
-        for block in (algorithm.ROW_BLOCK, 3):
-            monkeypatch.setattr(algorithm, "ROW_BLOCK", block)
-            ana = exact_analysis(inst, config)
-            assert (ana.p_first, ana.p_cond, ana.p_joint) == (p_first, p_cond, p_joint)
-            assert np.array_equal(ana.per_state_products, products)
-            chain = chain_decomposition(inst, config)
-            assert (chain.direct, chain.via_ancilla, chain.via_cost, chain.p_b_given_a) == chain_want
-        monkeypatch.undo()
-
-
 # ---------------------------------------------------------------------------
 # production vs the statevec reference primitives
 
 def reference_quantities(inst, config):
-    """Every exact quantity recomputed through explicit measurements on the state."""
-    state = encoded_state(inst, config)
+    """Every exact quantity recomputed through explicit measurements on the dense state."""
+    state = reference.encoded_state(inst, config)
     layout = state.layout
     low = inst.costs < config.c_tol
     joint = joint_distribution(state)
@@ -376,6 +292,7 @@ def reference_quantities(inst, config):
         ref["p_cond"] = float(cond_data[low].sum())
         ref["products"] = ref["p_first"] * cond_data
         ref["via_ancilla"] = ref["p_cond"] * ref["p_first"]
+    ref["p_joint"] = 0.0 if ref["p_cond"] is None else ref["via_ancilla"]
     if low.any():
         # p(A) p(B|A) = sum over low k of p(k) p(B | k), one post-selection per k
         p_a, terms = 0.0, []
@@ -399,6 +316,25 @@ def reference_quantities(inst, config):
     return ref
 
 
+def assert_matches_reference(inst, config):
+    """Every production field equals its `statevec` measurement within 1e-12."""
+    ref = reference_quantities(inst, config)
+    ana = exact_analysis(inst, config)
+    chain = chain_decomposition(inst, config)
+
+    assert abs(ana.p_first - ref["p_first"]) <= 1e-12
+    assert abs(ana.p_joint - ref["p_joint"]) <= 1e-12
+    assert np.allclose(ana.per_state_products, ref["products"], rtol=0, atol=1e-12)
+    assert abs(chain.direct - ref["direct"]) <= 1e-12
+    for got, want in ((ana.p_cond, ref["p_cond"]), (chain.via_ancilla, ref["via_ancilla"]),
+                      (chain.via_cost, ref["via_cost"]),
+                      (chain.p_b_given_a, ref["p_b_given_a"])):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-12
+    assert abs(sequential_vs_joint_check(inst, config) - ref["tv"]) <= 1e-12
+
+
 def test_born_grid_path_matches_statevec_reference():
     cases = random_configurations(40, seed=313)
     cases.append((demo(), RunConfig(c_tol=0.5, encoder=IDENTITY, n_anc=2)))  # M = 0
@@ -406,20 +342,14 @@ def test_born_grid_path_matches_statevec_reference():
                   RunConfig(c_tol=3.0, encoder=COSPOW1)))  # p_first = 0
     for inst, config in cases:
         assert inst.n_data + config.n_anc <= 12
-        ref = reference_quantities(inst, config)
-        ana = exact_analysis(inst, config)
-        chain = chain_decomposition(inst, config)
+        assert_matches_reference(inst, config)
 
-        assert abs(ana.p_first - ref["p_first"]) <= 1e-12
-        assert np.allclose(ana.per_state_products, ref["products"], rtol=0, atol=1e-12)
-        assert abs(chain.direct - ref["direct"]) <= 1e-12
-        for got, want in ((ana.p_cond, ref["p_cond"]), (chain.via_ancilla, ref["via_ancilla"]),
-                          (chain.via_cost, ref["via_cost"]),
-                          (chain.p_b_given_a, ref["p_b_given_a"])):
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert abs(got - want) <= 1e-12
-        assert abs(sequential_vs_joint_check(inst, config) - ref["tv"]) <= 1e-12
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(bound_cases(), st.sampled_from(list(JunkPolicy)))
+def test_production_fields_equal_the_dense_reference_measurements(case, junk):
+    inst, c_tol, encoder, n_anc = case
+    assert_matches_reference(inst, RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +411,7 @@ def test_choice_table_draws_what_rng_choice_draws(n, size, seed, zero_share):
     p = weights / weights.sum()
     by_choice, by_table = np.random.default_rng(seed), np.random.default_rng(seed)
     want = by_choice.choice(n, size, p=p)
-    got = algorithm._draw(algorithm._choice_cdf(p), by_table, size)
+    got = algorithm._draw(encoding._choice_cdf(p), by_table, size)
     assert np.array_equal(got, want)
     assert by_table.random() == by_choice.random()  # the stream advanced alike
 
@@ -492,7 +422,24 @@ def test_choice_table_keeps_the_checks_on_p(p):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(len(p), 1, p=p)
     with pytest.raises(ValueError):
-        algorithm._choice_cdf(np.array(p))
+        encoding._choice_cdf(np.array(p))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(bound_cases(), st.sampled_from(list(JunkPolicy)), st.integers(1, 5000),
+       st.integers(0, 2**63 - 1))
+def test_rtus_equals_rng_choice_on_the_dense_grid(case, junk, budget, seed):
+    inst, c_tol, encoder, n_anc = case
+    config = RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc,
+                       max_preparations=budget, seed=seed)
+    want = reference.run_repeat_until_success(inst, config)
+    assert run_repeat_until_success(inst, config) == want
+    # the tables themselves, bit for bit: an ulp off in `p` rarely moves a draw
+    anc_p, data_p = reference.choice_p(inst, config)
+    anc_cdf, data_cdf = encoded_state(inst, config).sampling_tables
+    assert np.array_equal(anc_cdf, encoding._choice_cdf(anc_p))
+    assert (data_cdf is None) == (data_p is None)
+    assert data_p is None or np.array_equal(data_cdf, encoding._choice_cdf(data_p))
 
 
 def test_rtus_interleaved_configurations_match_fresh_runs():
@@ -505,7 +452,6 @@ def test_rtus_interleaved_configurations_match_fresh_runs():
 
     def fresh(config):
         encoding._last_encoding = None
-        algorithm._last_tables = None
         return run_repeat_until_success(inst, config)
 
     want = [fresh(config) for config in configs]
@@ -517,8 +463,8 @@ def test_rtus_interleaved_configurations_match_fresh_runs():
 
 def test_rtus_builds_no_data_table_when_nothing_can_accept(monkeypatch):
     builds = []
-    original = algorithm._choice_cdf
-    monkeypatch.setattr(algorithm, "_choice_cdf", lambda p: builds.append(p) or original(p))
+    original = encoding._choice_cdf
+    monkeypatch.setattr(encoding, "_choice_cdf", lambda p: builds.append(p) or original(p))
     inst = generate("explicit", {"costs": [2.0, 2.0]})
     config = RunConfig(c_tol=1.0, encoder=AmplitudeEncoder.oracle_threshold(1.0), seed=3)
     assert run_repeat_until_success(inst, config).accepted_samples == 0

@@ -209,11 +209,11 @@ def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkey
 
 
 def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, monkeypatch):
-    import postopt.algorithm as algorithm
+    import postopt.encoding as encoding
 
     builds = []
-    original = algorithm._choice_cdf
-    monkeypatch.setattr(algorithm, "_choice_cdf", lambda p: builds.append(p) or original(p))
+    original = encoding._choice_cdf
+    monkeypatch.setattr(encoding, "_choice_cdf", lambda p: builds.append(p) or original(p))
     demo = write_demo(tmp_path)
     assert main(["compare", str(demo), "--c-tol", "3", "--strategy", "postselect",
                  "--repeats", "5", "--budget", "200"]) == 0
@@ -221,7 +221,7 @@ def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, 
 
 
 def test_one_verify_record_holds_at_most_three_real_grids():
-    # the uniform state, its encoding and the rebuilt TV grid, each float64, plus O(N)
+    # the uniform state, the one float64 grid, plus O(N): the encoding and every check
     inst = generate("uniform_random", {"n_data": 14}, seed=8)
     config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2),
                        junk=JunkPolicy.SPREAD, n_anc=3)
@@ -232,7 +232,7 @@ def test_one_verify_record_holds_at_most_three_real_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * RegisterLayout(14, 3).total_dim + 64 * inst.size
+    assert peak <= 8 * RegisterLayout(14, 3).total_dim + 64 * inst.size
 
 
 @st.composite
@@ -408,6 +408,8 @@ MALFORMED_ARGV = {
     # int() would truncate 2.7 to 2 and read true as 1
     "json_n_data_fractional": ["verify", "{frac_json}", "--c-tol", "0.3"],
     "json_n_data_bool": ["verify", "{bool_json}", "--c-tol", "0.3"],
+    # np.asarray(..., dtype=float) read true as 1.0 and false as 0.0
+    "json_cost_bool": ["verify", "{boolcosts_json}", "--c-tol", "0.7"],
     # a byte that is not UTF-8 used to escape as a UnicodeDecodeError traceback, exit 1
     "text_not_utf8": ["verify", "{nonutf8_text}", "--c-tol", "0.3"],
     "json_not_utf8": ["verify", "{nonutf8_json}", "--c-tol", "0.3"],
@@ -494,6 +496,7 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
                "inf_json": b'{"n_data": 1e400, "costs": [0.5, 0.25]}',
                "frac_json": b'{"n_data": 2.7, "costs": [0.5, 0.25, 1, 2]}',
                "bool_json": b'{"n_data": true, "costs": [0.5, 0.25]}',
+               "boolcosts_json": b'{"costs": [true, false, 0.5, 2], "n_data": 2}',
                "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n",
                "nonutf8_json": b'{"n_data": 1, "costs": [0.5, 0.25], "provenance": {"k": "\xff"}}'}
     paths = {"demo": write_demo(tmp_path), "bad_costs": bad_costs,

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import postopt.encoding as encoding_module
+import reference
 from postopt.costfn import count_below, generate
 from postopt.encoding import (
     AmplitudeEncoder,
+    EncodedInstance,
     JunkPolicy,
     encode,
     instance_amplitudes,
 )
-from postopt.errors import ConfigurationError
+from postopt.errors import ConfigurationError, DomainError
 from postopt.statevec import ANCILLA, DATA, RegisterLayout, StateVector, marginal_distribution, \
     marginal_probability, postselect, uniform_superposition
 
@@ -24,9 +26,17 @@ ENCODERS = [
 
 
 def encoded(costs, encoder, junk=JunkPolicy.CONCENTRATED, n_anc=1):
+    """The dense reference encoding of an explicit cost table, and the instance."""
     inst = generate("explicit", {"costs": costs})
-    state = uniform_superposition(RegisterLayout(inst.n_data, n_anc))
-    return encode(state, inst, encoder, junk), inst
+    return reference.encode(inst, encoder, junk, n_anc), inst
+
+
+def born_grid(state):
+    """The production encoding's Born weights, in the dense grid's layout."""
+    grid = np.zeros((state.layout.data_dim, state.layout.anc_dim))
+    grid[:, 0] = state.accept
+    grid[:, 1:1 + state.junk_repeats] = state.junk_column[:, None]
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +139,38 @@ def test_encode_hand_computed_amplitudes():
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0 + 2e-10, 1.0 - 2e-10, np.nan])
+def test_encoded_instance_refuses_weights_that_do_not_sum_to_one(scale):
+    inst = generate("uniform_random", {"n_data": 4}, seed=5)
+    out = encode(uniform_superposition(RegisterLayout(4, 3)), inst, AmplitudeEncoder.linear(),
+                 JunkPolicy.SPREAD)
+    EncodedInstance(out.layout, out.junk, out.accept, out.junk_column, out.junk_repeats)
+    with pytest.raises(DomainError):
+        EncodedInstance(out.layout, out.junk, out.accept * scale, out.junk_column * scale,
+                        out.junk_repeats)
+
+
+@pytest.mark.parametrize("junk", list(JunkPolicy))
+@pytest.mark.parametrize("n_anc", [1, 2, 3])
+def test_encode_weights_are_the_dense_reference_born_grid(junk, n_anc):
+    inst = generate("uniform_random", {"n_data": 5}, seed=n_anc)
+    for enc in ENCODERS:
+        out = encode(uniform_superposition(RegisterLayout(5, n_anc)), inst, enc, junk)
+        dense = reference.encode(inst, enc, junk, n_anc)
+        assert np.array_equal(born_grid(out), np.square(dense.grid()))
+
+
 def test_encode_identity_is_noop():
-    layout = RegisterLayout(3, 2)
     inst = generate("uniform_random", {"n_data": 3}, seed=2)
-    state = uniform_superposition(layout)
-    out = encode(state, inst, AmplitudeEncoder.identity(), JunkPolicy.SPREAD)
-    assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+    out = reference.encode(inst, AmplitudeEncoder.identity(), JunkPolicy.SPREAD, n_anc=2)
+    assert np.allclose(out.amplitudes, uniform_superposition(out.layout).amplitudes, atol=1e-15)
 
 
 def test_encode_oracle_acceptance_is_m_over_n():
     for costs in ([3, 1, 4, 1, 5, 9, 2, 6], [-2.0, 0.0, 1.0, -1.5]):
         inst = generate("explicit", {"costs": costs})
         c_tol = 1.0
-        state = uniform_superposition(RegisterLayout(inst.n_data, 1))
-        out = encode(state, inst, AmplitudeEncoder.oracle_threshold(c_tol))
+        out = reference.encode(inst, AmplitudeEncoder.oracle_threshold(c_tol))
         expected = count_below(inst, c_tol) / inst.size
         assert marginal_probability(out, ANCILLA, 0) == pytest.approx(expected, abs=1e-12)
 
@@ -160,7 +188,7 @@ def test_encode_is_isometry(junk, n_anc):
 @pytest.mark.parametrize("enc", ENCODERS)
 def test_acceptance_probability_is_mean_squared_amplitude(enc):
     inst = generate("uniform_random", {"n_data": 6}, seed=31)
-    state = encode(uniform_superposition(RegisterLayout(6, 2)), inst, enc)
+    state = reference.encode(inst, enc, n_anc=2)
     expected = float(np.mean(instance_amplitudes(enc, inst) ** 2))
     assert marginal_probability(state, ANCILLA, 0) == pytest.approx(expected, abs=1e-10)
 
@@ -168,7 +196,7 @@ def test_acceptance_probability_is_mean_squared_amplitude(enc):
 def test_postselected_distribution_proportional_to_amplitude_squared():
     inst = generate("uniform_random", {"n_data": 5}, seed=17)
     enc = AmplitudeEncoder.cosine_power(2)
-    state = encode(uniform_superposition(RegisterLayout(5, 1)), inst, enc)
+    state = reference.encode(inst, enc)
     _, cond = postselect(state, ANCILLA, 0)
     weights = instance_amplitudes(enc, inst) ** 2
     assert np.allclose(
@@ -179,8 +207,8 @@ def test_postselected_distribution_proportional_to_amplitude_squared():
 def test_junk_policies_agree_on_acceptance():
     inst = generate("uniform_random", {"n_data": 4}, seed=23)
     enc = AmplitudeEncoder.linear()
-    state_c = encode(uniform_superposition(RegisterLayout(4, 3)), inst, enc, JunkPolicy.CONCENTRATED)
-    state_s = encode(uniform_superposition(RegisterLayout(4, 3)), inst, enc, JunkPolicy.SPREAD)
+    state_c = reference.encode(inst, enc, JunkPolicy.CONCENTRATED, n_anc=3)
+    state_s = reference.encode(inst, enc, JunkPolicy.SPREAD, n_anc=3)
     p_c = marginal_probability(state_c, ANCILLA, 0)
     p_s = marginal_probability(state_s, ANCILLA, 0)
     assert abs(p_c - p_s) <= 1e-12
@@ -216,7 +244,7 @@ def test_encode_checks_its_input_with_the_uniform_state_cached():
     assert not np.array_equal(perturbed.amplitudes, uniform.amplitudes)
     enc = AmplitudeEncoder.cosine_power(2)
     out = encode(perturbed, inst, enc, JunkPolicy.SPREAD)
-    assert np.array_equal(out.amplitudes, encode(uniform, inst, enc, JunkPolicy.SPREAD).amplitudes)
+    assert np.array_equal(born_grid(out), born_grid(encode(uniform, inst, enc, JunkPolicy.SPREAD)))
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
@@ -268,14 +296,14 @@ def test_encode_builds_afresh_when_a_key_part_changes(change):
     second = encode(state, inst, enc, junk)
     assert second is not first
     encoding_module._last_encoding = None
-    assert np.array_equal(second.amplitudes, encode(state, inst, enc, junk).amplitudes)
+    assert np.array_equal(born_grid(second), born_grid(encode(state, inst, enc, junk)))
 
 
 @pytest.mark.parametrize("shared", ["uniform", "encoded", "costs"])
 def test_shared_arrays_cannot_be_made_writable_again(shared):
     state, inst = encode_args()
     enc = AmplitudeEncoder.linear()
-    arrays = {"uniform": state.amplitudes, "encoded": encode(state, inst, enc).amplitudes,
+    arrays = {"uniform": state.amplitudes, "encoded": encode(state, inst, enc).accept,
               "costs": inst.costs}
     x = arrays[shared]
     before = x.copy()

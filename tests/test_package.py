@@ -20,9 +20,10 @@ PUBLIC = {
     "PostoptError", "ConfigurationError", "DomainError", "CapacityError",
 }
 
-# The dense reference the tests hold production to; no production module may use it
+# The dense reference the tests hold production to; no production module may use it,
+# nor read a dense state's Born grid
 REFERENCE = {"OutcomeDistribution", "marginal_probability", "marginal_distribution",
-             "postselect", "joint_distribution", "grover_state"}
+             "postselect", "joint_distribution", "grover_state", "grid"}
 PRODUCTION = ("algorithm", "baselines", "cli", "costfn", "encoding")
 
 

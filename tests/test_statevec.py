@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import reference
+from postopt.costfn import generate
+from postopt.encoding import AmplitudeEncoder
 from postopt.errors import CapacityError, DomainError, ImpossibleOutcomeError
 from postopt.statevec import (
     ANCILLA,
@@ -16,6 +19,12 @@ from postopt.statevec import (
 )
 
 RT2 = np.sqrt(2.0)
+
+
+def encoded_1_2() -> StateVector:
+    """Costs [1, 2] under cospow:1: a = (cos(pi/4), 0), grid [[1/2, 1/2], [0, 1/sqrt(2)]]."""
+    return reference.encode(generate("explicit", {"costs": [1.0, 2.0]}),
+                            AmplitudeEncoder.cosine_power(1))
 
 
 def random_state(layout: RegisterLayout, rng: np.random.Generator) -> StateVector:
@@ -160,10 +169,8 @@ def test_marginal_examples():
 
 
 def test_marginal_of_encoded_state():
-    # costs [1, 2], cosine b=1: a = (cos(pi/4), 0), anc-0 mass = (1/2)(1/2) = 0.25
-    grid = np.array([[0.5, 0.5], [0.0, 1 / RT2]], dtype=complex)
-    state = StateVector(RegisterLayout(1, 1), grid.reshape(-1))
-    assert marginal_probability(state, ANCILLA, 0) == pytest.approx(0.25, abs=1e-12)
+    # anc-0 mass = (1/2)(1/2) = 0.25
+    assert marginal_probability(encoded_1_2(), ANCILLA, 0) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_marginal_out_of_range():
@@ -194,9 +201,7 @@ def test_postselect_impossible_outcome():
 
 def test_postselect_encoded_state():
     # hand computation: a(1) = cos(pi/4), a(2) = 0, so anc=0 leaves only data 0
-    grid = np.array([[0.5, 0.5], [0.0, 1 / RT2]], dtype=complex)
-    state = StateVector(RegisterLayout(1, 1), grid.reshape(-1))
-    prob, cond = postselect(state, ANCILLA, 0)
+    prob, cond = postselect(encoded_1_2(), ANCILLA, 0)
     assert prob == pytest.approx(0.25, abs=1e-12)
     assert marginal_probability(cond, DATA, 0) == pytest.approx(1.0, abs=1e-12)
 
@@ -221,8 +226,7 @@ def test_joint_uniform_1_1():
 
 
 def test_joint_encoded_state():
-    grid = np.array([[0.5, 0.5], [0.0, 1 / RT2]], dtype=complex)
-    dist = joint_distribution(StateVector(RegisterLayout(1, 1), grid.reshape(-1)))
+    dist = joint_distribution(encoded_1_2())
     assert dist[0b00] == pytest.approx(0.25, abs=1e-12)  # (0, anc 0)
     assert dist[0b01] == pytest.approx(0.25, abs=1e-12)  # (0, junk)
     assert dist[0b11] == pytest.approx(0.50, abs=1e-12)  # (1, junk)
