@@ -6,9 +6,9 @@ restarts of a run descending in lockstep blocks that reproduce the one-by-one
 loop the tests keep as its reference; the Grover baseline is the genuine
 quantum speedup, simulated exactly with an ideal cost < c_tol oracle in its
 two-dimensional marked/unmarked subspace (Brassard, Hoyer, Mosca & Tapp,
-quant-ph/0005055); the dense `grover_state` is the reference the tests hold
-that simulation to, and the sin^2 closed form it is reported beside runs in
-mpmath.
+quant-ph/0005055), and the sin^2 closed form it is reported beside runs in
+mpmath.  The tests hold that simulation to a dense O(t * N) Grover loop kept
+beside them.
 
 Trial counting is in cost-oracle calls for the classical strategies, so
 their `trials_used` are directly comparable.
@@ -148,26 +148,6 @@ def optimal_iterations(n_data: int, m: int) -> int:
     return max(0, round(math.pi / (4 * theta) - 0.5))
 
 
-def grover_state(instance: CostInstance, c_tol: float, iterations: int) -> np.ndarray:
-    """Amplitudes over the data register after `iterations` Grover steps.
-
-    Each step phase-flips the states with cost < c_tol, then reflects about
-    the mean (diffusion).  No ancilla: the oracle is ideal.  This dense
-    O(iterations * N) loop is the reference the tests hold `grover_simulate`
-    to, as `statevec`'s measurement functions are for `algorithm`.
-    """
-    if count_below(instance, c_tol) < 1:
-        raise DomainError("Grover iteration needs at least one marked state")
-    if iterations < 0:
-        raise DomainError("iterations must be >= 0")
-    marked = instance.costs < c_tol
-    amps = np.full(instance.size, 1.0 / math.sqrt(instance.size))
-    for _ in range(iterations):
-        amps = np.where(marked, -amps, amps)
-        amps = 2.0 * amps.mean() - amps
-    return amps
-
-
 def _grover_pair(size: int, m: int, iterations: int) -> tuple[float, float]:
     """The (marked, unmarked) amplitudes after `iterations` Grover steps on N = size.
 
@@ -191,7 +171,7 @@ def grover_simulate(instance: CostInstance, c_tol: float, iterations: int) -> fl
     The oracle flip and the diffusion both keep every marked state on one
     amplitude and every unmarked state on another, so the steps run on that
     pair: O(N) to count the M marked states, then O(1) per step.  This is
-    the step arithmetic of `grover_state`, not the sin^2 closed form.
+    the step arithmetic of the dense loop, not the sin^2 closed form.
     """
     if iterations < 0:
         raise DomainError("iterations must be >= 0")

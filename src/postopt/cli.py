@@ -509,6 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if (args.seed or 0) < 0:  # numpy's generators refuse it, as a traceback
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "verify":

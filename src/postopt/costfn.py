@@ -22,7 +22,7 @@ from .statevec import read_only_view
 
 CENTERS_MAX = 500  # hamming_structured makes one O(N) pass per center; 500 take about 3 s at n=20
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as `encode`'s memo keys it
 class CostInstance:
     """Cost value for each of the N = 2**n_data bitstrings."""
 
@@ -85,7 +85,7 @@ def check_params(kind: str, params: dict) -> tuple:
     if kind == "explicit":
         size = len(params["costs"])
         n_data = size.bit_length() - 1
-        if size != 1 << n_data or size < 2:
+        if size < 2 or size != 1 << n_data:  # size 0 would shift by -1
             raise ConfigurationError(f"explicit costs must number a power of two >= 2, got {size}")
         return (n_data,)
     if kind == "number_partition":

@@ -103,7 +103,7 @@ class RegisterLayout:
         raise DomainError(f"unknown register {register!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as `encode`'s memo keys it
 class StateVector:
     """Normalized amplitudes over the composite (data, ancilla) basis.
 
@@ -153,12 +153,6 @@ class OutcomeDistribution:
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    def total_variation(self, other: "OutcomeDistribution") -> float:
-        """Half the L1 distance; 0 means statistically indistinguishable."""
-        if len(self) != len(other):
-            raise DomainError("distributions live on different outcome sets")
-        return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,9 +1,12 @@
-"""The dense encoded state and a sampler that draws on it: the reference for `algorithm`.
+"""Dense references the tests hold production to.
 
 `encode` builds the whole (2**n_data, 2**n_anc) amplitude grid of the encoded
 state, as a `statevec.StateVector`, so that the `statevec` measurement
 functions can measure it the long way.  The production path holds only the
 Born weights of the distinct ancilla columns; the tests hold it to this.
+`total_variation` compares two of those measured distributions, and
+`grover_state` is the dense Grover loop that `baselines.grover_simulate`
+runs on two amplitudes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 from postopt.algorithm import RunConfig, TrialStats
 from postopt.costfn import CostInstance
 from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
-from postopt.statevec import RegisterLayout, StateVector
+from postopt.errors import DomainError
+from postopt.statevec import OutcomeDistribution, RegisterLayout, StateVector
 
 
 def encode(instance: CostInstance, encoder: AmplitudeEncoder,
@@ -60,3 +64,24 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     n_hits = int(hits.sum())
     first_hit = int(accepted_at[np.nonzero(hits)[0][0]]) + 1 if n_hits else None
     return TrialStats(budget, int(accepted_at.size), n_hits, n_hits / budget, first_hit)
+
+
+def total_variation(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
+    """Half the L1 distance; 0 means statistically indistinguishable."""
+    if len(p) != len(q):
+        raise DomainError("distributions live on different outcome sets")
+    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+
+
+def grover_state(instance: CostInstance, c_tol: float, iterations: int) -> np.ndarray:
+    """Amplitudes over the data register after `iterations` Grover steps.
+
+    Each step phase-flips the states with cost < c_tol, then reflects about
+    the mean (diffusion).  No ancilla: the oracle is ideal.  O(iterations * N).
+    """
+    marked = instance.costs < c_tol
+    amps = np.full(instance.size, 1.0 / np.sqrt(instance.size))
+    for _ in range(iterations):
+        amps = np.where(marked, -amps, amps)
+        amps = 2.0 * amps.mean() - amps
+    return amps

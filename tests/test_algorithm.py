@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import postopt.algorithm as algorithm
 import postopt.encoding as encoding
@@ -17,7 +18,7 @@ from postopt.algorithm import (
     run_repeat_until_success,
     sequential_vs_joint_check,
 )
-from postopt.costfn import count_below, generate
+from postopt.costfn import generate
 from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
 from postopt.errors import ConfigurationError
 from postopt.statevec import (
@@ -209,6 +210,38 @@ def test_bound_and_junk_independence_hold_for_random_configurations(case):
     assert abs(tight.p_joint - tight.m / tight.n) <= 1e-12
 
 
+# exact 0s and 1s, the smallest subnormal, one near the normal range's floor, and the rest
+AMPLITUDES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.2e-308]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def amplitude_cases(draw):
+    """(a, low-cost mask, n_anc) with a in [0, 1]^N, n_data <= 8 and n_anc <= 3."""
+    size = 1 << draw(st.integers(1, 8))
+    a = draw(arrays(float, size, elements=AMPLITUDES))
+    return a, draw(arrays(bool, size)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(amplitude_cases(), st.sampled_from(list(JunkPolicy)))
+def test_bound_holds_for_arbitrary_success_amplitudes(case, junk):
+    # any a in [0, 1]^N, not just the four encoder families, through the production path
+    a, low, n_anc = case
+    n, m = a.size, int(low.sum())
+    inst = generate("explicit", {"costs": np.where(low, 0.0, 1.0).tolist()})
+    config = RunConfig(c_tol=0.5, encoder=IDENTITY, junk=junk, n_anc=n_anc)
+    encoding._last_encoding = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoding, "instance_amplitudes", lambda encoder, instance: a)
+        ana = exact_analysis(inst, config)
+    assert ana.p_joint <= m / n + 1e-9
+    assert ana.per_state_products.max() <= 1 / n + 1e-9
+    if np.all(a[low] == 1.0):
+        assert abs(ana.p_joint - m / n) <= 1e-12
+    else:  # every low-cost state short of a = 1 costs the joint its deficit
+        assert np.all(ana.p_joint <= m / n - (1.0 - a[low] ** 2) / n + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # chain decomposition
 
@@ -312,7 +345,7 @@ def reference_quantities(inst, config):
             _, cond = postselect(state, ANCILLA, a)
             rebuilt[(np.arange(layout.data_dim) << layout.n_anc) | a] = (
                 p_a * marginal_distribution(cond, DATA).probs)
-    ref["tv"] = joint.total_variation(OutcomeDistribution(rebuilt))
+    ref["tv"] = reference.total_variation(joint, OutcomeDistribution(rebuilt))
     return ref
 
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from postopt.baselines import (
     _BLOCK,
     SearchResult,
     _grover_pair,
     amplitude_amplification_success,
     grover_simulate,
-    grover_state,
     hill_climb,
     optimal_iterations,
     random_search,
@@ -237,7 +237,7 @@ def marked_instance(n_data, m, seed):
 
 def assert_matches_dense_reference(inst, c_tol, t):
     m, n = count_below(inst, c_tol), inst.size
-    dense = grover_state(inst, c_tol, t)
+    dense = reference.grover_state(inst, c_tol, t)
     marked = inst.costs < c_tol
     assert abs(grover_simulate(inst, c_tol, t) - float((dense[marked] ** 2).sum())) <= 1e-12
     a, b = _grover_pair(n, m, t)
@@ -301,7 +301,7 @@ def test_both_grover_routes_match_50_digits_property(counts):
 def test_grover_state_norm_preserved():
     inst = hamming_weight_instance(5)
     for t in range(0, 30):
-        assert abs(np.linalg.norm(grover_state(inst, 1.0, t)) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(reference.grover_state(inst, 1.0, t)) - 1.0) < 1e-10
 
 
 def test_grover_simulate_domain_error():

@@ -461,6 +461,14 @@ MALFORMED_ARGV = {
     # run with TABLE_N_MAX patched to 2, below the n=3 demo file
     "loaded_file_over_cap_verify": ["verify", "{demo}", "--c-tol", "3"],
     "loaded_file_over_cap_compare": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random"],
+    # numpy's generators raised ValueError on a negative seed, a traceback with exit 1
+    "generate_seed_negative": ["generate", "--kind", "uniform_random", "--n", "3", "--seed", "-1",
+                               "-o", "{out}"],
+    "sweep_seed_negative": ["verify", "--sweep", "3", "--seed", "-1"],
+    "compare_seed_negative": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random",
+                              "--seed", "-1"],
+    # an empty list shifted by -1 in the power-of-two check, a ValueError with exit 1
+    "generate_explicit_empty": ["generate", "--kind", "explicit", "--costs", ",", "-o", "{out}"],
 }
 
 

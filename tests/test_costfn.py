@@ -143,6 +143,8 @@ def test_generator_bad_params():
     ("number_partition", {"weights": [np.inf, 1.0]}),
     ("number_partition", {"weights": [1.0, 0.0]}),
     ("explicit", {"costs": [1.0, 2.0, 3.0]}),
+    # an empty list used to shift by -1, a ValueError
+    ("explicit", {"costs": []}),
 ])
 def test_generator_refuses_overflowing_or_oversized_params(kind, params):
     with pytest.raises(ConfigurationError):

@@ -284,7 +284,7 @@ def test_sequential_equals_joint_distribution_level(n_data, n_anc):
         _, cond = postselect(state, ANCILLA, a)
         for d in range(layout.data_dim):
             rebuilt[(d << n_anc) | a] = p_a * marginal_probability(cond, DATA, d)
-    tv = joint_distribution(state).total_variation(OutcomeDistribution(rebuilt))
+    tv = reference.total_variation(joint_distribution(state), OutcomeDistribution(rebuilt))
     assert tv <= 1e-10
 
 
@@ -300,10 +300,22 @@ def test_postselect_preserves_norm_random():
         assert abs(np.linalg.norm(cond.amplitudes) - 1.0) < 1e-10
 
 
+def test_instances_and_states_compare_and_hash_by_identity():
+    # == compared the arrays field by field, a ValueError, and hash() raised TypeError
+    layout = RegisterLayout(2, 1)
+    makers = (lambda: generate("explicit", {"costs": [1.0, 2.0, 3.0, 4.0]}),
+              lambda: StateVector(layout, np.eye(layout.total_dim)[0]))
+    for make in makers:
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
 def test_outcome_distribution_validation():
     with pytest.raises(DomainError):
         OutcomeDistribution(np.array([0.5, 0.4]))  # does not sum to 1
     with pytest.raises(DomainError):
         OutcomeDistribution(np.array([1.1, -0.1]))  # negative entry
     dist = OutcomeDistribution(np.array([0.25, 0.75]))
-    assert dist.total_variation(OutcomeDistribution(np.array([0.75, 0.25]))) == pytest.approx(0.5)
+    flipped = OutcomeDistribution(np.array([0.75, 0.25]))
+    assert reference.total_variation(dist, flipped) == pytest.approx(0.5)
