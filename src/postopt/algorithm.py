@@ -63,6 +63,8 @@ class RunConfig:
             raise ConfigurationError("max_preparations must be >= 1")
         if self.n_anc < 1:
             raise ConfigurationError("n_anc must be >= 1")
+        if self.seed < 0:  # numpy's generators refuse it with a bare ValueError
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costfn import CostInstance, count_below
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 _BLOCK = 4096  # random draws, and so hill-climb walkers, come in blocks of this size
 
@@ -44,6 +44,8 @@ def random_search(
     """
     if max_trials < 1:
         raise DomainError("max_trials must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     best_index, best_cost = -1, math.inf
     used = 0
@@ -80,6 +82,8 @@ def hill_climb(
     """
     if max_restarts < 1:
         raise DomainError("max_restarts must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     costs = instance.costs
     bits = 1 << np.arange(instance.n_data)

@@ -7,7 +7,7 @@ Subcommands:
               of randomized configurations; exit 0 iff every check holds
     compare   run search strategies side by side on one instance
 
-Reports are line-delimited JSON (or CSV), one record per configuration, each
+Reports are line-delimited JSON, one record per configuration, each
 carrying the full configuration needed to reproduce it.  Rerunning the same
 command with the same seed reproduces the records byte for byte; only the
 meta record's timestamp differs.
@@ -18,8 +18,6 @@ Exit codes: 0 all checks pass, 1 a claim check failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import platform
 import sys
@@ -96,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where the failure amplitude goes (default concentrated)")
     shared.add_argument("--n-anc", type=int, help="ancilla qubit count (default 1)")
     shared.add_argument("-o", "--out", help="report path")
-    shared.add_argument("--format", default="jsonl", choices=["jsonl", "csv"])
 
     ver = sub.add_parser("verify", parents=[shared],
                          help="check the M/N and 1/N bounds and the measurement identities")
@@ -146,25 +143,9 @@ def _meta(command: str, seed: int) -> dict:
     }
 
 
-def _render_report(meta: dict, records: list[dict], fmt: str) -> str:
-    if fmt == "jsonl":
-        lines = [json.dumps(meta, sort_keys=True)]
-        lines += [json.dumps(r, sort_keys=True) for r in records]
-        return "\n".join(lines) + "\n"
-    # csv: meta goes into a leading comment line, records into sorted columns
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    fields = sorted({key for r in records for key in r})
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    for r in records:
-        writer.writerow({k: ("" if v is None else v) for k, v in r.items()})
-    return buf.getvalue()
-
-
-def _write_report(out: str | None, meta: dict, records: list[dict], fmt: str) -> None:
+def _write_report(out: str | None, meta: dict, records: list[dict]) -> None:
     if out:
-        Path(out).write_text(_render_report(meta, records, fmt))
+        Path(out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in [meta, *records]))
 
 
 def _fmt(x) -> str:
@@ -334,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         records = [check_configuration(instance, config, key, desc)]
 
     meta = _meta("verify", seed)
-    _write_report(args.out, meta, records, args.format)
+    _write_report(args.out, meta, records)
     _print_verify_table(records)
 
     failures = [r for r in records if not r["ok"]]
@@ -445,7 +426,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         records.append(_compare_one(strategy, iterations, instance, config, seeds))
 
     meta = _meta("compare", args.seed)
-    _write_report(args.out, meta, records, args.format)
+    _write_report(args.out, meta, records)
 
     print(f"instance: N={instance.size}, M={records[0]['m']}, c_tol={args.c_tol:g} "
           f"(random-search mean trials N/M = {instance.size / records[0]['m']:.4g})")

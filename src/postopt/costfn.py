@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,6 +132,8 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
                           flip changes the cost by at most L
     """
     parsed = check_params(kind, params)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     provenance = {"kind": kind, "seed": int(seed), "params": dict(params)}
 
@@ -241,24 +242,22 @@ def _load_text(path: str | Path, head: bytes, f: BinaryIO) -> CostInstance:
         raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
     try:
         n_data = int(header[len(b"n_data="):].decode())
-        with warnings.catch_warnings():
-            # numpy >= 2 raises ValueError at a bad token; numpy < 2 warns and stops there
-            warnings.simplefilter("error", DeprecationWarning)
-            parts, pending = [], head[len(header):]
-            # each chunk is parsed through its last whitespace byte, as the token after it
-            # may run on; at the end of the file, a blank chunk flushes that token
-            while chunk := f.read(_PARSE_BLOCK_BYTES) or pending and b" ":
-                cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
-                if not cut:
-                    pending += chunk
-                    continue
-                block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
-                del chunk  # one copy of the text at a time, so the heap is left compact
-                if not block.isspace():  # fromstring reads blank text as [-1.0]
-                    parts.append(np.fromstring(block, sep=" "))
-                del block
+        parts, pending = [], head[len(header):]
+        # each chunk is parsed through its last whitespace byte, as the token after it
+        # may run on; at the end of the file, a blank chunk flushes that token
+        while chunk := f.read(_PARSE_BLOCK_BYTES) or pending and b" ":
+            cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
+            if not cut:
+                pending += chunk
+                continue
+            block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
+            del chunk  # one copy of the text at a time, so the heap is left compact
+            if not block.isspace():  # fromstring reads blank text as [-1.0]
+                # numpy >= 2 raises ValueError at a bad token
+                parts.append(np.fromstring(block, sep=" "))
+            del block
     # UnicodeDecodeError is a ValueError
-    except (ValueError, DeprecationWarning) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
     costs = np.concatenate(parts) if parts else np.empty(0)
     costs.flags.writeable = False  # handed over, not copied

@@ -124,7 +124,6 @@ class EncodedInstance:
     """
 
     layout: RegisterLayout
-    junk: JunkPolicy
     accept: np.ndarray = field(repr=False)
     junk_column: np.ndarray = field(repr=False)
     junk_repeats: int
@@ -192,7 +191,8 @@ def encode(
     The result of the last call is kept and returned again, the same object,
     while the call repeats: the same `state` and `instance` objects (`is`;
     both are immutable) and an equal encoder and junk policy.  Any other call
-    drops it before it checks its input and builds a new one.
+    drops it before it checks its input and builds a new one; `lru_cache` would
+    hold the old result and its state until the new one is built, so it is not used.
     """
     global _last_encoding
     last = _last_encoding
@@ -224,6 +224,6 @@ def encode(
     accept = np.square(amps / root_n)
     np.square(junk_column, out=junk_column)
     accept.flags.writeable = junk_column.flags.writeable = False  # handed over, not copied
-    encoded = EncodedInstance(layout, junk, accept, junk_column, repeats)
+    encoded = EncodedInstance(layout, accept, junk_column, repeats)
     _last_encoding = (state, instance, encoder, junk, encoded)
     return encoded

@@ -131,17 +131,6 @@ def test_verify_sweep_records_reproducible(tmp_path):
     assert records_without_timestamp(a) == records_without_timestamp(b)
 
 
-def test_verify_csv_format(tmp_path):
-    report = tmp_path / "sweep.csv"
-    assert main(["verify", "--sweep", "6", "--seed", "2", "-o", str(report),
-                 "--format", "csv"]) == 0
-    lines = report.read_text().splitlines()
-    assert lines[0].startswith("# ")
-    header = lines[1].split(",")
-    assert "p_joint" in header and "ok" in header
-    assert len(lines) == 2 + 6
-
-
 def test_verify_encoder_spec_error(tmp_path):
     demo = write_demo(tmp_path)
     assert main(["verify", str(demo), "--encoder", "warp:9", "--c-tol", "1"]) == 2
@@ -399,6 +388,8 @@ MALFORMED_ARGV = {
     "sweep_n_over_cap": ["verify", "--sweep", "2", "--n", str(TABLE_N_MAX + 1)],
     # every drawn configuration is held until the report; 10^8 of them used to start drawing
     "sweep_over_cap": ["verify", "--sweep", str(10**8), "--n", "1"],
+    # jsonl is the only report form, so a --format flag must fail, never be ignored
+    "verify_format_removed": ["verify", "--sweep", "2", "--format", "csv"],
     "json_cost_not_a_number": ["verify", "{bad_costs}", "--c-tol", "1"],
     "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
     # a header past int's 4300-digit str limit, 2**n_data as a huge integer, int(inf)

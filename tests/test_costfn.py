@@ -1,7 +1,6 @@
 import io
 import json
 import tracemalloc
-import warnings
 import zipfile
 
 import numpy as np
@@ -525,19 +524,6 @@ def test_non_finite_token_fails_the_finiteness_check(tmp_path, token):
     with pytest.raises(DomainError, match="finite"):
         load_instance(path)
     assert main(["verify", str(path), "--c-tol", "1"]) == 2
-
-
-def test_a_parse_warning_is_a_malformed_file(tmp_path, monkeypatch):
-    # numpy < 2 warns at a bad token and returns the costs before it
-    def fromstring(text, sep):
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return np.array([0.5])
-
-    monkeypatch.setattr(np, "fromstring", fromstring)
-    path = tmp_path / "inst.txt"
-    path.write_text("n_data=1\n0.5 x\n")
-    with pytest.raises(ConfigurationError, match="could not be read"):
-        load_instance(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -144,10 +147,9 @@ def test_encoded_instance_refuses_weights_that_do_not_sum_to_one(scale):
     inst = generate("uniform_random", {"n_data": 4}, seed=5)
     out = encode(uniform_superposition(RegisterLayout(4, 3)), inst, AmplitudeEncoder.linear(),
                  JunkPolicy.SPREAD)
-    EncodedInstance(out.layout, out.junk, out.accept, out.junk_column, out.junk_repeats)
+    EncodedInstance(out.layout, out.accept, out.junk_column, out.junk_repeats)
     with pytest.raises(DomainError):
-        EncodedInstance(out.layout, out.junk, out.accept * scale, out.junk_column * scale,
-                        out.junk_repeats)
+        EncodedInstance(out.layout, out.accept * scale, out.junk_column * scale, out.junk_repeats)
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
@@ -297,6 +299,25 @@ def test_encode_builds_afresh_when_a_key_part_changes(change):
     assert second is not first
     encoding_module._last_encoding = None
     assert np.array_equal(born_grid(second), born_grid(encode(state, inst, enc, junk)))
+
+
+def test_encode_drops_the_last_result_before_it_builds_the_next(monkeypatch):
+    # a cache that stores the new result before it evicts the old one, as
+    # functools.lru_cache(maxsize=1) does, would hold two encodings at the peak
+    inst = generate("uniform_random", {"n_data": 3}, seed=4)
+    state = uniform_superposition(RegisterLayout(3, 1))
+    out = encode(state, inst, AmplitudeEncoder.linear())
+    last = [weakref.ref(out), weakref.ref(state)]
+    del out, state
+    amplitudes = encoding_module.instance_amplitudes
+
+    def spy(encoder, instance):
+        gc.collect()
+        assert [ref() for ref in last] == [None, None], "the last encoding is still held"
+        return amplitudes(encoder, instance)
+
+    monkeypatch.setattr(encoding_module, "instance_amplitudes", spy)
+    encode(uniform_superposition(RegisterLayout(3, 3)), inst, AmplitudeEncoder.linear())
 
 
 @pytest.mark.parametrize("shared", ["uniform", "encoded", "costs"])

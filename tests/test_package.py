@@ -1,8 +1,11 @@
-"""The package surface: what `import postopt` exports, what production imports and defines."""
+"""The package surface: what `import postopt` exports, what production imports and defines,
+and the seeds its entry points refuse."""
 
 import ast
 import types
 from pathlib import Path
+
+import pytest
 
 import postopt
 
@@ -79,3 +82,17 @@ def test_package_exports_the_documented_library_surface():
     assert exported() == PUBLIC
     library = (ROOT / "README.md").read_text().partition("## Library")[2]
     assert all(f"`{name}`" in library for name in PUBLIC)
+
+
+@pytest.mark.parametrize("entry", ["RunConfig", "generate", "random_search", "hill_climb"])
+def test_a_negative_seed_is_refused_before_numpy_sees_it(entry):
+    inst = postopt.generate("uniform_random", {"n_data": 3})
+    calls = {
+        "RunConfig": lambda: postopt.RunConfig(c_tol=0.5, encoder=postopt.AmplitudeEncoder.linear(),
+                                               seed=-1),
+        "generate": lambda: postopt.generate("uniform_random", {"n_data": 3}, seed=-1),
+        "random_search": lambda: postopt.random_search(inst, 0.5, seed=-1),
+        "hill_climb": lambda: postopt.hill_climb(inst, 0.5, seed=-1),
+    }
+    with pytest.raises(postopt.ConfigurationError, match="seed must be >= 0"):
+        calls[entry]()
