@@ -15,9 +15,11 @@ compares the two measurement orderings at the distribution level, and
 Every quantity is a sum over the encoded instance's Born weights, O(N) of
 them whatever n_anc is: p_first is the ancilla-0 column sum, the
 post-selected data distribution is that column renormalized, and the
-register marginals are row and column sums.  The `statevec` measurement
-functions compute the same quantities the long way on the dense state; the
-tests hold this module to them.
+register marginals are row and column sums.  The exact checks read those
+columns and `costs < c_tol` in blocks of BLOCK entries with masked sums, so
+their temporaries are O(BLOCK).  The `statevec` measurement functions compute
+the same quantities the long way on the dense state; the tests hold this
+module to them.
 
 Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), so
 sampled outcomes are reproducible for a fixed seed.  The sampled protocol
@@ -32,7 +34,7 @@ sampled statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .statevec import EPS_PROB, RegisterLayout, uniform_superposition
 
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
+BLOCK = 1 << 15  # entries per block of the exact checks: 256 KiB of float64, cache-sized
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,9 @@ class ExactAnalysis:
     """Exact success probabilities of one configuration and their ceiling.
 
     `p_cond` is None when the ancilla never reads 0...0 (p_first below the
-    impossible-outcome threshold); p_joint is then 0.  `per_state_products`
-    holds p_first * p(data = k | ancilla 0...0) for every k; no encoder can
-    push any of them above 1/N.
+    impossible-outcome threshold); p_joint is then 0.
+    `max_per_state_product` is the largest p_first * p(data = k | ancilla
+    0...0) over every k; no encoder can push it above 1/N.
     """
 
     p_first: float
@@ -83,7 +86,7 @@ class ExactAnalysis:
     m: int
     n: int
     bound: float
-    per_state_products: np.ndarray = field(repr=False)
+    max_per_state_product: float
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,28 @@ def encoded_state(instance: CostInstance, config: RunConfig) -> EncodedInstance:
     return encode(uniform_superposition(layout), instance, config.encoder, config.junk)
 
 
+def _blocks(size: int):
+    """Consecutive slices of at most BLOCK entries that cover range(size)."""
+    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
+
+
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     """Success probabilities of one attempt, from the exact amplitudes."""
     accept = encoded_state(instance, config).accept
     n = instance.size
     m = count_below(instance, config.c_tol)
-    low = instance.costs < config.c_tol
 
     p_first = float(accept.sum())
     if p_first <= EPS_PROB:
         # acceptance never happens; the conditional is undefined
-        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, accept)
+        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, float(accept.max()))
 
-    cond_data = accept / p_first
-    p_cond = float(cond_data[low].sum())
-    products = p_first * cond_data
-    return ExactAnalysis(p_first, p_cond, p_first * p_cond, m, n, m / n, products)
+    p_cond = max_product = 0.0
+    for block in _blocks(n):
+        cond_data = accept[block] / p_first
+        p_cond += float(cond_data.sum(where=instance.costs[block] < config.c_tol))
+        max_product = max(max_product, float((p_first * cond_data).max()))
+    return ExactAnalysis(p_first, p_cond, p_first * p_cond, m, n, m / n, max_product)
 
 
 def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecomposition:
@@ -146,23 +155,24 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     """
     encoded = encoded_state(instance, config)
     accept = encoded.accept
-    low = instance.costs < config.c_tol
-    direct = float(accept[low].sum())
-
     p_first = float(accept.sum())
-    via_ancilla = None
-    if p_first > EPS_PROB:
-        p_a_given_b = float((accept / p_first)[low].sum())
-        via_ancilla = p_a_given_b * p_first
-
-    via_cost = None
-    p_b_given_a = None
-    if low.any():
-        data_marg = accept + encoded.junk_repeats * encoded.junk_column  # Born grid row sums
-        p_a = float(data_marg[low].sum())
-        cond_b_given_k = np.divide(accept, data_marg, out=np.zeros_like(data_marg),
+    direct = p_a_given_b = p_a = joint_a_b = 0.0
+    for block in _blocks(instance.size):
+        low = instance.costs[block] < config.c_tol
+        acc = accept[block]
+        direct += float(acc.sum(where=low))
+        if p_first > EPS_PROB:
+            p_a_given_b += float((acc / p_first).sum(where=low))
+        data_marg = acc + encoded.junk_repeats * encoded.junk_column[block]  # Born grid row sums
+        p_a += float(data_marg.sum(where=low))
+        cond_b_given_k = np.divide(acc, data_marg, out=np.zeros_like(data_marg),
                                    where=data_marg > EPS_PROB)
-        p_b_given_a = float((data_marg[low] * cond_b_given_k[low]).sum()) / p_a
+        joint_a_b += float((data_marg * cond_b_given_k).sum(where=low))
+
+    via_ancilla = p_a_given_b * p_first if p_first > EPS_PROB else None
+    via_cost = p_b_given_a = None
+    if p_a > 0:  # exactly when M > 0: every row of the Born grid sums to about 1/N
+        p_b_given_a = joint_a_b / p_a
         via_cost = p_b_given_a * p_a
 
     return ChainDecomposition(direct, via_ancilla, via_cost, p_b_given_a)
@@ -181,8 +191,10 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     distance = 0.0
     for column, repeats in ((encoded.accept, 1), (encoded.junk_column, encoded.junk_repeats)):
         p_a = float(column.sum())
-        rebuilt = column / p_a * p_a if p_a > EPS_PROB else 0.0  # no weight, no conditional
-        distance += repeats * float(np.abs(rebuilt - column).sum())
+        for block in _blocks(column.size):
+            part = column[block]
+            rebuilt = part / p_a * p_a if p_a > EPS_PROB else 0.0  # no weight, no conditional
+            distance += repeats * float(np.abs(rebuilt - part).sum())
     return 0.5 * distance
 
 

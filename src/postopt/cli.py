@@ -190,11 +190,10 @@ def check_configuration(instance: CostInstance, config: RunConfig, key: str,
     ana = exact_analysis(instance, config)
     chain = chain_decomposition(instance, config)
     tv = sequential_vs_joint_check(instance, config)
-    max_product = float(ana.per_state_products.max())
 
     checks = {
         "check_joint_bound": bool(ana.p_joint <= ana.bound + ATOL_BOUND),
-        "check_per_state_bound": bool(max_product <= 1.0 / ana.n + ATOL_BOUND),
+        "check_per_state_bound": bool(ana.max_per_state_product <= 1.0 / ana.n + ATOL_BOUND),
         "check_product_identity": bool(
             ana.p_cond is None
             or abs(ana.p_joint - ana.p_first * ana.p_cond) <= ATOL_IDENTITY
@@ -222,7 +221,7 @@ def check_configuration(instance: CostInstance, config: RunConfig, key: str,
         "p_cond": None if ana.p_cond is None else float(ana.p_cond),
         "p_joint": float(ana.p_joint),
         "bound": float(ana.bound),
-        "max_per_state_product": max_product,
+        "max_per_state_product": ana.max_per_state_product,
         "per_state_bound": 1.0 / ana.n,
         "chain_direct": float(chain.direct),
         "chain_via_ancilla": None if chain.via_ancilla is None else float(chain.via_ancilla),

@@ -8,6 +8,8 @@ isometry on its domain, so the output is again normalized.
 
 `encode` returns that state as an `EncodedInstance`, the O(N) Born weights
 of its distinct ancilla columns; its 2**(n_data + n_anc) grid is never built.
+It builds them in two N-arrays, in place, with the operations and in the
+order of the formulas below, so the weights are the same bits.
 
 Encoder families, named by their specs (u = cost / c_max after the shift):
 
@@ -95,21 +97,28 @@ def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np
 
     The oracle tests the raw costs.  cospow and linear scale the costs by
     their maximum, after shifting them up so the minimum is 0 when it is
-    negative.
+    negative.  The result is a new array; `encode` builds in it.
     """
     costs = instance.costs
     if encoder.family == "identity":
         return np.ones_like(costs)
     if encoder.family == "oracle":
         return (costs < encoder.param).astype(float)
-    shifted = costs - min(0.0, costs.min())
-    c_max = float(shifted.max())
-    u = shifted / c_max if c_max > 0 else np.zeros_like(shifted)
+    u = costs - min(0.0, costs.min())
+    c_max = float(u.max())
+    if c_max > 0:  # else every u is 0 already
+        u /= c_max
     if encoder.family == "cospow":
         # force the endpoint: float cos(pi/2) ~ 6e-17, and fractional powers
         # would amplify that residue into a spurious success amplitude
-        return np.where(u >= 1.0, 0.0, np.cos(np.pi * u / 2.0) ** encoder.param)
-    return 1.0 - u
+        end = u >= 1.0
+        u *= np.pi
+        u /= 2.0
+        np.cos(u, out=u)
+        u **= encoder.param  # numpy's scalar-power fast path, as `u ** b` takes
+        u[end] = 0.0
+        return u
+    return np.subtract(1.0, u, out=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,18 +220,24 @@ def encode(
                                                  atol=NORM_ATOL):
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
-    amps = instance_amplitudes(encoder, instance)
-    root_n = np.sqrt(layout.data_dim)
-    junk_column = np.sqrt(np.clip(1.0 - amps**2, 0.0, None)) / root_n
     if junk == JunkPolicy.CONCENTRATED:
         repeats = 1
     elif junk == JunkPolicy.SPREAD:
         repeats = layout.anc_dim - 1
-        junk_column /= np.sqrt(repeats)
     else:
         raise ConfigurationError(f"unknown junk policy {junk!r}")
-    accept = np.square(amps / root_n)
+    accept = instance_amplitudes(encoder, instance)  # becomes a_k^2 / N in place
+    root_n = np.sqrt(layout.data_dim)
+    junk_column = np.square(accept)
+    np.subtract(1.0, junk_column, out=junk_column)
+    np.clip(junk_column, 0.0, None, out=junk_column)
+    np.sqrt(junk_column, out=junk_column)
+    junk_column /= root_n
+    if repeats > 1:
+        junk_column /= np.sqrt(repeats)
     np.square(junk_column, out=junk_column)
+    accept /= root_n
+    np.square(accept, out=accept)
     accept.flags.writeable = junk_column.flags.writeable = False  # handed over, not copied
     encoded = EncodedInstance(layout, accept, junk_column, repeats)
     _last_encoding = (state, instance, encoder, junk, encoded)

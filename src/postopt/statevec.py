@@ -25,7 +25,8 @@ the owning array, which numpy lets a caller mark writable again.
 `uniform_superposition` keeps the uniform state of the last layout, so
 repeated calls share one object, and `encoding.encode` keeps that object as
 the key of its last result.  It is the one dense state the production path
-holds, at most 128 MiB at the 24-qubit cap.
+holds, at most 128 MiB at the 24-qubit cap; besides it, a verify holds the
+cost table, the encoded instance's two Born columns and O(block) temporaries.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ class StateVector:
             raise DomainError(
                 f"expected {self.layout.total_dim} amplitudes, got shape {amps.shape}"
             )
-        norm = np.sqrt(np.vdot(amps, amps).real)  # one pass; NaN stays NaN
+        # one pass with no BLAS call (vdot and vecdot wake a threaded BLAS); NaN stays NaN
+        flat = amps.view(float)  # a complex state as its (re, im) pairs
+        norm = np.sqrt(np.einsum("i,i->", flat, flat))
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise DomainError(f"state norm {norm} deviates from 1 by more than {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", read_only_view(amps))

@@ -1,8 +1,11 @@
 """Dense references the tests hold production to.
 
-`encode` builds the whole (2**n_data, 2**n_anc) amplitude grid of the encoded
-state, as a `statevec.StateVector`, so that the `statevec` measurement
-functions can measure it the long way.  The production path holds only the
+`instance_amplitudes` and `born_columns` are the out-of-place arithmetic of
+`encoding.instance_amplitudes` and `encoding.encode`, one temporary per
+operation; production builds the same bits in place.  `encode` builds the
+whole (2**n_data, 2**n_anc) amplitude grid of the encoded state, as a
+`statevec.StateVector`, so that the `statevec` measurement functions can
+measure it the long way.  The production path holds only the
 Born weights of the distinct ancilla columns; the tests hold it to this.
 `total_variation` compares two of those measured distributions, and
 `grover_state` is the dense Grover loop that `baselines.grover_simulate`
@@ -15,9 +18,36 @@ import numpy as np
 
 from postopt.algorithm import RunConfig, TrialStats
 from postopt.costfn import CostInstance
-from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
+from postopt.encoding import AmplitudeEncoder, JunkPolicy
 from postopt.errors import DomainError
 from postopt.statevec import OutcomeDistribution, RegisterLayout, StateVector
+
+
+def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
+    """Success amplitude for every state, one new array per operation."""
+    costs = instance.costs
+    if encoder.family == "identity":
+        return np.ones_like(costs)
+    if encoder.family == "oracle":
+        return (costs < encoder.param).astype(float)
+    shifted = costs - min(0.0, costs.min())
+    c_max = float(shifted.max())
+    u = shifted / c_max if c_max > 0 else np.zeros_like(shifted)
+    if encoder.family == "cospow":
+        return np.where(u >= 1.0, 0.0, np.cos(np.pi * u / 2.0) ** encoder.param)
+    return 1.0 - u
+
+
+def born_columns(instance: CostInstance, encoder: AmplitudeEncoder, junk: JunkPolicy,
+                 n_anc: int) -> tuple[np.ndarray, np.ndarray]:
+    """`accept` and `junk_column` of the encoded instance, one new array per operation."""
+    layout = RegisterLayout(instance.n_data, n_anc)
+    amps = instance_amplitudes(encoder, instance)
+    root_n = np.sqrt(layout.data_dim)
+    junk_column = np.sqrt(np.clip(1.0 - amps**2, 0.0, None)) / root_n
+    if junk == JunkPolicy.SPREAD:
+        junk_column /= np.sqrt(layout.anc_dim - 1)
+    return np.square(amps / root_n), np.square(junk_column)
 
 
 def encode(instance: CostInstance, encoder: AmplitudeEncoder,

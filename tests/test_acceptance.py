@@ -67,7 +67,7 @@ def test_criterion_2_per_state_bound(sweep_records):
     for inst in random_instances(20, seed=2):
         ana = exact_analysis(inst, RunConfig(c_tol=float(np.median(inst.costs)),
                                              encoder=AmplitudeEncoder.identity()))
-        worst_gap = max(worst_gap, abs(ana.per_state_products.max() - 1 / ana.n))
+        worst_gap = max(worst_gap, abs(ana.max_per_state_product - 1 / ana.n))
     report(2, "per-state products <= 1/N, identity achieves equality",
            not violations and worst_gap <= 1e-12,
            f"violations={len(violations)}, identity gap={worst_gap:.2e}")

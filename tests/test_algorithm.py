@@ -109,15 +109,16 @@ def test_exact_analysis_undefined_conditional():
 def test_per_state_product_identity_is_exactly_one_over_n():
     inst = demo()
     config = RunConfig(c_tol=3.0, encoder=IDENTITY)
-    products = exact_analysis(inst, config).per_state_products
+    products = encoded_state(inst, config).accept  # p_first * p(k | accept) = a_k^2 / N
     for k in range(inst.size):
         assert abs(products[k] - 1 / 8) <= 1e-12
+    assert abs(exact_analysis(inst, config).max_per_state_product - 1 / 8) <= 1e-12
 
 
 def test_per_state_product_oracle_zero_above_threshold():
     inst = demo()
     config = RunConfig(c_tol=3.0, encoder=AmplitudeEncoder.oracle_threshold(3.0))
-    products = exact_analysis(inst, config).per_state_products
+    products = encoded_state(inst, config).accept
     assert products[5] == 0.0  # cost 9 >= 3
     assert products[1] == pytest.approx(1 / 8, abs=1e-12)
 
@@ -125,7 +126,8 @@ def test_per_state_product_oracle_zero_above_threshold():
 def test_per_state_product_cosine_hand_case():
     inst = generate("explicit", {"costs": [1.0, 2.0]})
     config = RunConfig(c_tol=1.5, encoder=COSPOW1)
-    assert exact_analysis(inst, config).per_state_products[0] == pytest.approx(0.25, abs=1e-12)
+    assert encoded_state(inst, config).accept[0] == pytest.approx(0.25, abs=1e-12)
+    assert exact_analysis(inst, config).max_per_state_product == pytest.approx(0.25, abs=1e-12)
 
 
 def test_per_state_products_match_amplitude_oracle():
@@ -133,7 +135,8 @@ def test_per_state_products_match_amplitude_oracle():
     for inst, config in random_configurations(25, seed=101):
         ana = exact_analysis(inst, config)
         direct = instance_amplitudes(config.encoder, inst) ** 2 / inst.size
-        assert np.allclose(ana.per_state_products, direct, atol=1e-12)
+        assert np.allclose(encoded_state(inst, config).accept, direct, atol=1e-12)
+        assert abs(ana.max_per_state_product - direct.max()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,7 @@ def test_joint_probability_never_beats_m_over_n():
     for inst, config in random_configurations(60, seed=7):
         ana = exact_analysis(inst, config)
         assert ana.p_joint <= ana.bound + 1e-9
-        assert ana.per_state_products.max() <= 1 / ana.n + 1e-9
+        assert ana.max_per_state_product <= 1 / ana.n + 1e-9
         if ana.p_cond is not None:
             assert abs(ana.p_joint - ana.p_first * ana.p_cond) <= 1e-12
 
@@ -195,15 +198,16 @@ def bound_cases(draw):
 @given(bound_cases())
 def test_bound_and_junk_independence_hold_for_random_configurations(case):
     inst, c_tol, encoder, n_anc = case
-    concentrated, spread = (
-        exact_analysis(inst, RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc))
-        for junk in (JunkPolicy.CONCENTRATED, JunkPolicy.SPREAD)
-    )
+    configs = [RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc)
+               for junk in (JunkPolicy.CONCENTRATED, JunkPolicy.SPREAD)]
+    concentrated, spread = (exact_analysis(inst, config) for config in configs)
     assert concentrated.p_joint <= concentrated.m / concentrated.n + 1e-9
-    assert concentrated.per_state_products.max() <= 1 / concentrated.n + 1e-9
+    assert concentrated.max_per_state_product <= 1 / concentrated.n + 1e-9
     assert abs(concentrated.p_first - spread.p_first) <= 1e-12
     assert abs(concentrated.p_joint - spread.p_joint) <= 1e-12
-    assert np.abs(concentrated.per_state_products - spread.per_state_products).max() <= 1e-12
+    products = [encoded_state(inst, config).accept for config in configs]
+    assert np.abs(products[0] - products[1]).max() <= 1e-12
+    assert abs(concentrated.max_per_state_product - spread.max_per_state_product) <= 1e-12
     # criterion 3: the oracle at c_tol reaches the ceiling, negative costs included
     oracle = RunConfig(c_tol=c_tol, encoder=AmplitudeEncoder.oracle_threshold(c_tol), n_anc=n_anc)
     tight = exact_analysis(inst, oracle)
@@ -232,10 +236,11 @@ def test_bound_holds_for_arbitrary_success_amplitudes(case, junk):
     config = RunConfig(c_tol=0.5, encoder=IDENTITY, junk=junk, n_anc=n_anc)
     encoding._last_encoding = None
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(encoding, "instance_amplitudes", lambda encoder, instance: a)
+        # a copy, as instance_amplitudes returns a new array: encode builds in the one it gets
+        patch.setattr(encoding, "instance_amplitudes", lambda encoder, instance: a.copy())
         ana = exact_analysis(inst, config)
     assert ana.p_joint <= m / n + 1e-9
-    assert ana.per_state_products.max() <= 1 / n + 1e-9
+    assert ana.max_per_state_product <= 1 / n + 1e-9
     if np.all(a[low] == 1.0):
         assert abs(ana.p_joint - m / n) <= 1e-12
     else:  # every low-cost state short of a = 1 costs the joint its deficit
@@ -357,7 +362,8 @@ def assert_matches_reference(inst, config):
 
     assert abs(ana.p_first - ref["p_first"]) <= 1e-12
     assert abs(ana.p_joint - ref["p_joint"]) <= 1e-12
-    assert np.allclose(ana.per_state_products, ref["products"], rtol=0, atol=1e-12)
+    assert np.allclose(encoded_state(inst, config).accept, ref["products"], rtol=0, atol=1e-12)
+    assert abs(ana.max_per_state_product - ref["products"].max()) <= 1e-12
     assert abs(chain.direct - ref["direct"]) <= 1e-12
     for got, want in ((ana.p_cond, ref["p_cond"]), (chain.via_ancilla, ref["via_ancilla"]),
                       (chain.via_cost, ref["via_cost"]),

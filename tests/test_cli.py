@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postopt.algorithm import RunConfig
+from postopt.algorithm import BLOCK, RunConfig
 from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, TABLE_N_MAX, check_configuration,
                          main)
 from postopt.costfn import (CENTERS_MAX, CostInstance, generate, hamming_distances,
@@ -210,8 +210,9 @@ def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, 
 
 
 def test_one_verify_record_holds_at_most_three_real_grids():
-    # the uniform state, the one float64 grid, plus O(N): the encoding and every check
-    inst = generate("uniform_random", {"n_data": 14}, seed=8)
+    # the uniform state, the one float64 grid, plus accept, junk_column and
+    # O(block) temporaries; the table spans several of the checks' blocks
+    inst = generate("uniform_random", {"n_data": 18}, seed=8)
     config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2),
                        junk=JunkPolicy.SPREAD, n_anc=3)
     uniform_superposition.cache_clear()  # so the traced call builds the uniform state too
@@ -221,7 +222,8 @@ def test_one_verify_record_holds_at_most_three_real_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * RegisterLayout(14, 3).total_dim + 64 * inst.size
+    assert inst.size > 4 * BLOCK
+    assert peak <= 8 * RegisterLayout(18, 3).total_dim + 24 * inst.size
 
 
 @st.composite

@@ -162,6 +162,33 @@ def test_encode_weights_are_the_dense_reference_born_grid(junk, n_anc):
         assert np.array_equal(born_grid(out), np.square(dense.grid()))
 
 
+BIT_TABLES = {
+    "signed": ("uniform_random", {"n_data": 10, "low": -1.0, "high": 2.0}),
+    "hamming": ("hamming_structured", {"n_data": 9}),
+    "constant_zero": ("explicit", {"costs": [0.0] * 8}),  # c_max = 0
+    "constant_negative": ("explicit", {"costs": [-1.5] * 8}),  # c_max = 0 after the shift
+}
+BIT_ENCODERS = ["identity", "oracle:0.3", "cospow:0.5", "cospow:1", "cospow:2", "cospow:8",
+                "cospow:3.7", "linear"]
+
+
+@pytest.mark.parametrize("n_anc", [1, 3])
+@pytest.mark.parametrize("junk", list(JunkPolicy))
+@pytest.mark.parametrize("table", list(BIT_TABLES))
+def test_in_place_encoding_is_bit_identical_to_the_out_of_place_reference(table, junk, n_anc):
+    kind, params = BIT_TABLES[table]
+    inst = generate(kind, params, seed=3)
+    state = uniform_superposition(RegisterLayout(inst.n_data, n_anc))
+    for spec in BIT_ENCODERS:
+        enc = AmplitudeEncoder.parse(spec)
+        want_accept, want_junk = reference.born_columns(inst, enc, junk, n_anc)
+        pairs = [(instance_amplitudes(enc, inst), reference.instance_amplitudes(enc, inst))]
+        out = encode(state, inst, enc, junk)
+        pairs += [(out.accept, want_accept), (out.junk_column, want_junk)]
+        for got, want in pairs:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), spec
+
+
 def test_encode_identity_is_noop():
     inst = generate("uniform_random", {"n_data": 3}, seed=2)
     out = reference.encode(inst, AmplitudeEncoder.identity(), JunkPolicy.SPREAD, n_anc=2)

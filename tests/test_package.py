@@ -1,7 +1,9 @@
 """The package surface: what `import postopt` exports, what production imports and defines,
-and the seeds its entry points refuse."""
+and the seeds its entry points refuse; and the pytest settings a failing property needs."""
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -96,3 +98,21 @@ def test_a_negative_seed_is_refused_before_numpy_sees_it(entry):
     }
     with pytest.raises(postopt.ConfigurationError, match="seed must be >= 0"):
         calls[entry]()
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    # hypothesis imports libcst to report a failure; under the repo's warning filters that
+    # import's DeprecationWarning must not crash the session before the example is printed
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
