@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    generate  write a cost-instance file (text, .json or .npz)
+    generate  write a cost-instance file (text, or .npz by suffix)
     verify    run the exact bound/identity checks on one instance or a sweep
               of randomized configurations; exit 0 iff every check holds
     compare   run search strategies side by side on one instance
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--centers", type=int, default=3,
                      help=f"number of basins, at most {CENTERS_MAX} (hamming_structured)")
     gen.add_argument("-o", "--out", required=True,
-                     help="output path (.json or .npz for a structured form)")
+                     help="output path; .npz writes a NumPy archive, any other suffix text")
 
     shared = argparse.ArgumentParser(add_help=False)
     # None marks a flag as unset, so a command that would not read it can refuse it;

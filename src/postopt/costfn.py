@@ -12,7 +12,6 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -170,95 +169,67 @@ _SAVE_BLOCK = 8192  # costs formatted per write; a multiple of the 8 per line
 
 
 def save_instance(instance: CostInstance, path: str | Path) -> None:
-    """Write an instance file; `.json` or `.npz` extension selects that form.
+    """Write an instance file: `.npz` by its suffix, else text.
 
-    Every format round-trips costs bit-exactly: text and JSON through repr,
-    `.npz` as raw float64.  Text and JSON format a block of costs per `%` call.
+    Both forms round-trip costs bit-exactly: text through repr, `.npz` as raw
+    float64.  The text writer formats a block of costs per `%` call.
     """
     path = Path(path)
     if path.suffix == ".npz":
         np.savez(path, costs=instance.costs, n_data=instance.n_data,
                  provenance=json.dumps(instance.provenance, sort_keys=True))
         return
-    if path.suffix == ".json":  # the bytes of json.dumps(payload, sort_keys=True)
-        provenance = json.dumps(instance.provenance, sort_keys=True)  # fails before the open
-        head, costs = '{"costs": [%r' % float(instance.costs[0]), instance.costs[1:]
-        per, unit = 1, ", %r"
-        tail = f'], "n_data": {instance.n_data}, "provenance": {provenance}}}\n'
-    else:  # 8 costs a line, or a table of 2 or 4 on one line
-        head, costs, tail = f"n_data={instance.n_data}\n", instance.costs, ""
-        per = min(8, instance.size)
-        unit = " ".join(["%r"] * per) + "\n"
+    per = min(8, instance.size)  # 8 costs a line, or a table of 2 or 4 on one line
+    unit = " ".join(["%r"] * per) + "\n"
     with path.open("w") as out:
-        out.write(head)
-        for start in range(0, costs.size, _SAVE_BLOCK):
-            block = costs[start:start + _SAVE_BLOCK].tolist()
+        out.write(f"n_data={instance.n_data}\n")
+        for start in range(0, instance.size, _SAVE_BLOCK):
+            block = instance.costs[start:start + _SAVE_BLOCK].tolist()
             out.write(unit * (len(block) // per) % tuple(block))
-        out.write(tail)
 
 
 def load_instance(path: str | Path) -> CostInstance:
-    """Read an instance file: `.npz` by its suffix, else JSON or text by content.
+    """Read an instance file: `.npz` by its suffix, else text.
 
-    The text body is parsed in chunks of about 1 MiB, whatever its line layout,
-    so a load holds the table and a few chunks, never a Python object per cost.
+    The text form is an `n_data=<ASCII digits>` line, then the costs in any line
+    layout.  Its body is parsed in chunks of about 1 MiB, so a load holds the
+    table and a few chunks, never a Python object per cost.
     """
     if Path(path).suffix == ".npz":
         return _load_npz(path)
     with open(path, "rb") as f:
-        line = f.readline(_PARSE_BLOCK_BYTES)  # a lone-\r file is one line
-        while line.isspace():  # blank lines before the header or the JSON object
-            line = f.readline(_PARSE_BLOCK_BYTES)
-        line = line.lstrip()
-        if not line.startswith(b"{"):
-            return _load_text(path, line, f)
-        data = line + f.read()
-    try:
-        payload = json.loads(data)
-        n_data = payload["n_data"]
-        # a JSON integer only, as the text form refuses n_data=2.0: int() would
-        # truncate 2.7 to 2, and true is an int in Python
-        if type(n_data) is not int:
-            raise TypeError(f"n_data must be an integer, got {n_data!r}")
-        costs = payload["costs"]
-        if isinstance(costs, list) and bool in map(type, costs):  # float() reads true as 1.0
-            raise TypeError("costs must be numbers, got a boolean")
-        costs = np.asarray(costs, dtype=float)
-        costs.flags.writeable = False  # handed over, not copied
-        return CostInstance(n_data, costs, dict(payload.get("provenance", {})))
-    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a cost integer past float
-    # range raises OverflowError
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{path}: malformed instance JSON ({exc})") from exc
-
-
-def _load_text(path: str | Path, head: bytes, f: BinaryIO) -> CostInstance:
-    """The text form: `head`, from the first non-blank byte on, then the rest of `f`."""
-    while b"\n" not in head and b"\r" not in head and (chunk := f.read(_PARSE_BLOCK_BYTES)):
-        head += chunk  # the header line runs on past `head`
-    # a lone \r also ends the header line, as a universal-newline read splits it
-    header = head.partition(b"\n")[0].partition(b"\r")[0]
-    if not header.startswith(b"n_data="):
-        raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
-    try:
-        n_data = int(header[len(b"n_data="):].decode())
-        parts, pending = [], head[len(header):]
-        # each chunk is parsed through its last whitespace byte, as the token after it
-        # may run on; at the end of the file, a blank chunk flushes that token
-        while chunk := f.read(_PARSE_BLOCK_BYTES) or pending and b" ":
-            cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
-            if not cut:
-                pending += chunk
-                continue
-            block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
-            del chunk  # one copy of the text at a time, so the heap is left compact
-            if not block.isspace():  # fromstring reads blank text as [-1.0]
-                # numpy >= 2 raises ValueError at a bad token
-                parts.append(np.fromstring(block, sep=" "))
-            del block
-    # UnicodeDecodeError is a ValueError
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
+        head = f.readline(_PARSE_BLOCK_BYTES)  # a lone-\r file is one line
+        while head.isspace():  # blank lines before the header
+            head = f.readline(_PARSE_BLOCK_BYTES)
+        head = head.lstrip()
+        while b"\n" not in head and b"\r" not in head and (chunk := f.read(_PARSE_BLOCK_BYTES)):
+            head += chunk  # the header line runs on past the first read
+        # a lone \r also ends the header line, as a universal-newline read splits it
+        header = head.partition(b"\n")[0].partition(b"\r")[0]
+        digits = header.removeprefix(b"n_data=").rstrip(b" \t")
+        # ASCII digits only: int() would also take a sign, underscores, inner spaces
+        # and non-ASCII digits
+        if not header.startswith(b"n_data=") or not digits.isdigit():
+            raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
+        try:
+            n_data = int(digits)
+            parts, pending = [], head[len(header):]
+            # each chunk is parsed through its last whitespace byte, as the token after it
+            # may run on; at the end of the file, a blank chunk flushes that token
+            while chunk := f.read(_PARSE_BLOCK_BYTES) or pending and b" ":
+                cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
+                if not cut:
+                    pending += chunk
+                    continue
+                block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
+                del chunk  # one copy of the text at a time, so the heap is left compact
+                if not block.isspace():  # fromstring reads blank text as [-1.0]
+                    # numpy >= 2 raises ValueError at a bad token
+                    parts.append(np.fromstring(block, sep=" "))
+                del block
+        # int() raises ValueError past 4300 digits
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
     costs = np.concatenate(parts) if parts else np.empty(0)
     costs.flags.writeable = False  # handed over, not copied
     return CostInstance(n_data, costs, {"kind": "file", "path": str(path)})

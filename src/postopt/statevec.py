@@ -198,22 +198,20 @@ def marginal_distribution(state: StateVector, register: str) -> OutcomeDistribut
     return OutcomeDistribution(grid.sum(axis=axis))
 
 
-def postselect(
-    state: StateVector, register: str, outcome: int, eps: float = EPS_PROB
-) -> tuple[float, StateVector]:
+def postselect(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
     """Condition on one register reading `outcome`.
 
     Returns the probability of that outcome together with the renormalized
     conditional state (amplitudes inconsistent with the outcome zeroed).
 
     Raises:
-        ImpossibleOutcomeError: outcome probability <= eps; the conditional
+        ImpossibleOutcomeError: outcome probability <= EPS_PROB; the conditional
             state is undefined.
     """
     prob = marginal_probability(state, register, outcome)
-    if prob <= eps:
+    if prob <= EPS_PROB:
         raise ImpossibleOutcomeError(
-            f"{register}={outcome} has probability {prob} <= {eps}; cannot post-select"
+            f"{register}={outcome} has probability {prob} <= {EPS_PROB}; cannot post-select"
         )
     grid = np.zeros((state.layout.data_dim, state.layout.anc_dim), dtype=state.amplitudes.dtype)
     if register == DATA:

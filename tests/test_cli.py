@@ -54,7 +54,7 @@ def test_generate_round_trip(tmp_path):
 
 
 def test_generate_number_partition_full_plus(tmp_path):
-    out = tmp_path / "np.json"
+    out = tmp_path / "np.npz"
     assert main(["generate", "--kind", "number_partition", "--weights", "4,5,6,7,8",
                  "-o", str(out)]) == 0
     inst = load_instance(out)
@@ -72,7 +72,7 @@ def test_generate_missing_params(tmp_path):
 
 
 def test_generate_byte_identical_rerun(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     argv = ["generate", "--kind", "hamming_structured", "--n", "8", "--seed", "3"]
     assert main(argv + ["-o", str(a)]) == 0
     assert main(argv + ["-o", str(b)]) == 0
@@ -358,12 +358,14 @@ def test_compare_usage_errors(tmp_path):
                  "--repeats", "0"]) == 2
 
 
-def test_verify_malformed_json_instance(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{"n_data": 2}')  # costs missing
-    assert main(["verify", str(path), "--c-tol", "1"]) == 2
-    path.write_text('{not json')
-    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+def test_an_old_json_instance_exits_2(tmp_path):
+    # JSON is not an instance form; a file in it, well formed or not, fails the text header
+    path = tmp_path / "old.json"
+    for text in ('{"costs": [0.5, 0.25, 1.0, 2.0], "n_data": 2, "provenance": {}}\n',
+                 '{"n_data": 2}', '{not json'):
+        path.write_text(text)
+        assert main(["verify", str(path), "--c-tol", "1"]) == 2
+        assert main(["compare", str(path), "--c-tol", "1", "--strategy", "random"]) == 2
 
 
 def test_unknown_subcommand():
@@ -392,20 +394,11 @@ MALFORMED_ARGV = {
     "sweep_over_cap": ["verify", "--sweep", str(10**8), "--n", "1"],
     # jsonl is the only report form, so a --format flag must fail, never be ignored
     "verify_format_removed": ["verify", "--sweep", "2", "--format", "csv"],
-    "json_cost_not_a_number": ["verify", "{bad_costs}", "--c-tol", "1"],
-    "json_n_data_not_a_number": ["verify", "{bad_n_data}", "--c-tol", "1"],
-    # a header past int's 4300-digit str limit, 2**n_data as a huge integer, int(inf)
+    # 2**n_data as a huge integer; a file in the old JSON form fails the text header
     "text_n_data_oversized": ["verify", "{huge_text}", "--c-tol", "0.3"],
     "json_n_data_oversized": ["verify", "{huge_json}", "--c-tol", "0.3"],
-    "json_n_data_infinite": ["verify", "{inf_json}", "--c-tol", "0.3"],
-    # int() would truncate 2.7 to 2 and read true as 1
-    "json_n_data_fractional": ["verify", "{frac_json}", "--c-tol", "0.3"],
-    "json_n_data_bool": ["verify", "{bool_json}", "--c-tol", "0.3"],
-    # np.asarray(..., dtype=float) read true as 1.0 and false as 0.0
-    "json_cost_bool": ["verify", "{boolcosts_json}", "--c-tol", "0.7"],
     # a byte that is not UTF-8 used to escape as a UnicodeDecodeError traceback, exit 1
     "text_not_utf8": ["verify", "{nonutf8_text}", "--c-tol", "0.3"],
-    "json_not_utf8": ["verify", "{nonutf8_json}", "--c-tol", "0.3"],
     "generate_over_cap": ["generate", "--kind", "uniform_random", "--n", str(TABLE_N_MAX + 1),
                           "-o", "{out}"],
     # rng.uniform raised OverflowError on these, a traceback with exit 1; a NaN passed `<= 0`
@@ -488,20 +481,10 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, forbidden)
     if case.startswith("loaded_file_over_cap"):
         monkeypatch.setattr(cli, "TABLE_N_MAX", 2)
-    bad_costs = tmp_path / "bad_costs.json"
-    bad_costs.write_text('{"n_data": 1, "costs": ["a", 1]}')
-    bad_n_data = tmp_path / "bad_n_data.json"
-    bad_n_data.write_text('{"n_data": "x", "costs": [0, 1]}')
     headers = {"huge_text": b"n_data=20000\n0.5 0.25\n",
                "huge_json": b'{"n_data": 1000000000, "costs": [0.5, 0.25]}',
-               "inf_json": b'{"n_data": 1e400, "costs": [0.5, 0.25]}',
-               "frac_json": b'{"n_data": 2.7, "costs": [0.5, 0.25, 1, 2]}',
-               "bool_json": b'{"n_data": true, "costs": [0.5, 0.25]}',
-               "boolcosts_json": b'{"costs": [true, false, 0.5, 2], "n_data": 2}',
-               "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n",
-               "nonutf8_json": b'{"n_data": 1, "costs": [0.5, 0.25], "provenance": {"k": "\xff"}}'}
-    paths = {"demo": write_demo(tmp_path), "bad_costs": bad_costs,
-             "bad_n_data": bad_n_data, "out": tmp_path / "out.txt"}
+               "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n"}
+    paths = {"demo": write_demo(tmp_path), "out": tmp_path / "out.txt"}
     for name, text in headers.items():
         paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"
         paths[name].write_bytes(text)

@@ -75,6 +75,20 @@ def test_production_defines_only_what_production_or_the_surface_uses():
     assert unused == []
 
 
+def test_every_imported_name_is_used():
+    # a deletion must not leave an import behind; `__init__` imports only to re-export
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= used, (path.stem, bound - used)
+
+
 def test_production_modules_do_not_use_the_dense_reference():
     for module in PRODUCTION:
         assert not imported_names(PACKAGE / f"{module}.py") & REFERENCE, module
