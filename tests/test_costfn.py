@@ -309,6 +309,25 @@ def test_load_rejects_garbage(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("name", ["inst.json", "inst"])
+def test_any_suffix_but_npz_writes_and_reads_the_text_form(tmp_path, name):
+    inst = demo_instance()
+    save_instance(inst, tmp_path / "inst.txt")
+    save_instance(inst, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (tmp_path / "inst.txt").read_bytes()
+    assert np.array_equal(load_instance(tmp_path / name).costs, inst.costs)
+
+
+def test_the_suffix_not_the_content_picks_the_form(tmp_path):
+    inst = demo_instance()
+    save_instance(inst, tmp_path / "inst.npz")
+    with pytest.raises(ConfigurationError, match="n_data=<int>"):
+        load_instance((tmp_path / "inst.npz").rename(tmp_path / "npz.txt"))
+    save_instance(inst, tmp_path / "inst.txt")
+    with pytest.raises(ConfigurationError, match="malformed instance .npz"):
+        load_instance((tmp_path / "inst.txt").rename(tmp_path / "text.npz"))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -488,7 +507,10 @@ def test_malformed_text_body_exits_2(tmp_path, body):
     "n_data=" + "9" * 5000,    # past int()'s 4300-digit limit
     "n_data=",
     "n_data=2.0",
-], ids=["underscore", "plus", "inner_space", "arabic_indic", "digit_limit", "empty", "float"])
+    "n_data=-2",
+    "n_data=2\u00a0",          # a no-break space, where only spaces and tabs may trail
+], ids=["underscore", "plus", "inner_space", "arabic_indic", "digit_limit", "empty", "float",
+        "minus", "nbsp_after"])
 def test_malformed_text_header_exits_2(tmp_path, header):
     path = tmp_path / "inst.txt"
     path.write_bytes(f"{header}\n0.5 0.25 1.0 2.0\n".encode())
