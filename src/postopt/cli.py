@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from dataclasses import replace
@@ -46,7 +47,7 @@ from .baselines import (
 )
 from .costfn import (CENTERS_MAX, CostInstance, check_params, count_below, generate, load_instance,
                      min_cost, save_instance)
-from .encoding import AmplitudeEncoder, JunkPolicy
+from .encoding import AmplitudeEncoder, JunkPolicy, shifted_span
 from .errors import ConfigurationError, PostoptError
 from .statevec import NORM_ATOL, RegisterLayout
 
@@ -160,10 +161,13 @@ def _check_table_cap(n_data: int) -> None:
         raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {TABLE_N_MAX}")
 
 
-def _check_capacity(instance: CostInstance, config: RunConfig) -> None:
-    """Refuse a loaded table past the table cap, or registers past the qubit cap."""
+def _check_capacity(instance: CostInstance, config: RunConfig, encodes: bool = True) -> None:
+    """Refuse a loaded table past the table cap, registers past the qubit cap, or,
+    when the instance is to be encoded, costs the encoder cannot scale."""
     _check_table_cap(instance.n_data)
     RegisterLayout(instance.n_data, config.n_anc)
+    if encodes:
+        shifted_span(config.encoder, instance)
 
 
 def _refuse_unread(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> None:
@@ -234,6 +238,24 @@ def check_configuration(instance: CostInstance, config: RunConfig, key: str,
     return record
 
 
+def _quantile(costs: np.ndarray, q: float) -> float:
+    """`np.quantile(costs, q)` to the bit, by one `np.partition` and numpy's own `_lerp`.
+
+    Its partition takes the same kth set as numpy's, so a tie of 0.0 and -0.0
+    resolves the same way; the arithmetic is in Python floats, which round as
+    float64 does.
+    """
+    n = costs.size
+    vi = (n - 1) * q
+    lo = math.floor(vi)
+    hi = min(lo + 1, n - 1)
+    g = vi - lo
+    part = np.partition(costs, sorted({0, lo, hi, n - 1}))
+    a, b = float(part[lo]), float(part[hi])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def sweep_configurations(count: int, seed: int, n_max: int) -> list[tuple[str, CostInstance, RunConfig, dict]]:
     """Deterministically draw `count` (instance, config) pairs, sorted by key."""
     rng = np.random.default_rng(seed)
@@ -257,7 +279,7 @@ def sweep_configurations(count: int, seed: int, n_max: int) -> list[tuple[str, C
         if rng.random() < 0.1:
             c_tol = float(instance.costs.min()) - 1.0  # M = 0 corner
         else:
-            c_tol = float(np.quantile(instance.costs, SWEEP_QUANTILES[rng.integers(len(SWEEP_QUANTILES))]))
+            c_tol = _quantile(instance.costs, SWEEP_QUANTILES[rng.integers(len(SWEEP_QUANTILES))])
         spec = SWEEP_ENCODERS[rng.integers(len(SWEEP_ENCODERS))]
         encoder = AmplitudeEncoder.oracle_threshold(c_tol) if spec == "oracle" else AmplitudeEncoder.parse(spec)
         junk = JunkPolicy.SPREAD if rng.random() < 0.5 else JunkPolicy.CONCENTRATED
@@ -406,7 +428,8 @@ def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
 
 def cmd_compare(args: argparse.Namespace) -> int:
     strategies = _parse_strategies(args.strategy)
-    if all(spec != "postselect" for spec, _ in strategies):
+    postselects = any(spec == "postselect" for spec, _ in strategies)
+    if not postselects:
         _refuse_unread(args, ("encoder", "junk", "n_anc"), "without the postselect strategy")
     if not 1 <= args.repeats <= REPEATS_MAX:
         raise ConfigurationError(f"--repeats must lie in [1, {REPEATS_MAX}]")
@@ -414,7 +437,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--budget must lie in [1, {BUDGET_MAX}]")
     config = _run_config(args, "cospow:1", max_preparations=args.budget)
     instance = load_instance(args.instance)
-    _check_capacity(instance, config)
+    _check_capacity(instance, config, encodes=postselects)
     if count_below(instance, args.c_tol) < 1:
         raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")
 

@@ -63,13 +63,10 @@ def min_cost(instance: CostInstance) -> tuple[int, float]:
 
 
 def hamming_distances(n_data: int, center: int) -> np.ndarray:
-    """Hamming distance (int64) from each index in [0, 2**n_data) to `center`, by doubling."""
-    dist = np.zeros(1 << n_data, dtype=np.int64)
-    for j in range(n_data):  # the indices [half, 2*half) are [0, half) with bit j set
-        half, bit = 1 << j, center >> j & 1
-        np.add(dist[:half], 1 - bit, out=dist[half:2 * half])
-        dist[:half] += bit
-    return dist
+    """Hamming distance (uint8) from each index in [0, 2**n_data) to `center`, by popcount."""
+    idx = np.arange(1 << n_data)
+    idx ^= center
+    return np.bitwise_count(idx)
 
 
 def check_params(kind: str, params: dict) -> tuple:
@@ -129,6 +126,10 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
                           "n_centers": int}; cost(k) = min over centers c of
                           offset_c + L * hamming(k, c), so every single-bit
                           flip changes the cost by at most L
+
+    The three generated kinds hand their fresh table to the instance
+    read-only, so it is kept, not copied.  An explicit table is copied, as
+    `np.asarray` may return the caller's own array.
     """
     parsed = check_params(kind, params)
     if seed < 0:
@@ -141,8 +142,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
 
     if kind == "uniform_random":
         n_data, low, high = parsed
-        costs = rng.uniform(low, high, size=1 << n_data)
-        return CostInstance(n_data, costs, provenance)
+        return _handed_over(n_data, rng.uniform(low, high, size=1 << n_data), provenance)
 
     if kind == "number_partition":
         n_data, weights = parsed
@@ -151,7 +151,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
         for i, w in enumerate(weights):
             np.subtract(signed[:1 << i], w, out=signed[1 << i:2 << i])
             signed[:1 << i] += w
-        return CostInstance(n_data, np.abs(signed, out=signed), provenance)
+        return _handed_over(n_data, np.abs(signed, out=signed), provenance)
 
     n_data, lipschitz, n_centers = parsed
     centers = rng.integers(0, 1 << n_data, size=n_centers)
@@ -160,7 +160,16 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
     # min over L-Lipschitz cones is L-Lipschitz in Hamming distance
     costs = np.full(1 << n_data, np.inf)
     for c, off in zip(centers, offsets):
-        np.minimum(costs, off + lipschitz * hamming_distances(n_data, int(c)), out=costs)
+        cone = lipschitz * hamming_distances(n_data, int(c))
+        cone += off
+        np.minimum(costs, cone, out=costs)
+        del cone  # freed before the next center's distances: two tables live, not three
+    return _handed_over(n_data, costs, provenance)
+
+
+def _handed_over(n_data: int, costs: np.ndarray, provenance: dict) -> CostInstance:
+    """An instance that keeps the fresh table `costs`: marked read-only, it is not copied."""
+    costs.flags.writeable = False
     return CostInstance(n_data, costs, provenance)
 
 
@@ -231,8 +240,7 @@ def load_instance(path: str | Path) -> CostInstance:
         except ValueError as exc:
             raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
     costs = np.concatenate(parts) if parts else np.empty(0)
-    costs.flags.writeable = False  # handed over, not copied
-    return CostInstance(n_data, costs, {"kind": "file", "path": str(path)})
+    return _handed_over(n_data, costs, {"kind": "file", "path": str(path)})
 
 
 def _load_npz(path: str | Path) -> CostInstance:
@@ -252,5 +260,4 @@ def _load_npz(path: str | Path) -> CostInstance:
     except (KeyError, TypeError, ValueError, AttributeError, EOFError, MemoryError,
             zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"{path}: malformed instance .npz ({exc})") from exc
-    costs.flags.writeable = False  # handed over, not copied
-    return CostInstance(int(n_data), costs, provenance)
+    return _handed_over(int(n_data), costs, provenance)

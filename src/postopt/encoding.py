@@ -18,9 +18,11 @@ Encoder families, named by their specs (u = cost / c_max after the shift):
     cospow:<b>   a = cos(pi * u / 2) ** b
     linear       a = 1 - u
 
-cospow and linear see costs shifted so the minimum is >= 0, well-defined for
-any finite instance; the oracle compares the raw costs with t, as
-`count_below` does.  None of the verified bounds depend on the family choice.
+cospow and linear see costs shifted so the minimum is >= 0.  That is
+well-defined when the shifted maximum is finite; `shifted_span` refuses an
+instance whose costs span more than the float range.  The oracle compares
+the raw costs with t, as `count_below` does.  None of the verified bounds
+depend on the family choice.
 """
 
 from __future__ import annotations
@@ -92,6 +94,24 @@ class AmplitudeEncoder:
         return self.family if self.param is None else f"{self.family}:{self.param:g}"
 
 
+def shifted_span(encoder: AmplitudeEncoder, instance: CostInstance) -> tuple[float, float] | None:
+    """The shift and scale cospow and linear apply, u = (cost - low) / c_max; None
+    for identity and the oracle, which scale nothing.
+
+    low = min(0, min cost) and c_max = max cost - low, the largest shifted
+    cost, as the shift keeps the order.  Both are Python floats, so a span
+    past the float range is refused here, before any array overflows.
+    """
+    if encoder.family in ("identity", "oracle"):
+        return None
+    low, high = min(0.0, float(instance.costs.min())), float(instance.costs.max())
+    c_max = high - low
+    if not math.isfinite(c_max):
+        raise ConfigurationError(f"costs from {low!r} to {high!r} span more than the float range; "
+                                 "cospow and linear cannot scale them")
+    return low, c_max
+
+
 def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
     """Success amplitude for every state of an instance.
 
@@ -104,8 +124,8 @@ def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np
         return np.ones_like(costs)
     if encoder.family == "oracle":
         return (costs < encoder.param).astype(float)
-    u = costs - min(0.0, costs.min())
-    c_max = float(u.max())
+    low, c_max = shifted_span(encoder, instance)
+    u = costs - low
     if c_max > 0:  # else every u is 0 already
         u /= c_max
     if encoder.family == "cospow":

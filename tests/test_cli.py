@@ -1,14 +1,16 @@
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from postopt.algorithm import BLOCK, RunConfig
-from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, TABLE_N_MAX, check_configuration,
-                         main)
+from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, SWEEP_QUANTILES, TABLE_N_MAX,
+                         _quantile, check_configuration, main, sweep_configurations)
 from postopt.costfn import (CENTERS_MAX, CostInstance, generate, hamming_distances,
                             load_instance, save_instance)
 from postopt.encoding import AmplitudeEncoder, JunkPolicy
@@ -129,6 +131,37 @@ def test_verify_sweep_records_reproducible(tmp_path):
     assert main(["verify", "--sweep", "12", "--seed", "9", "-o", str(a)]) == 0
     assert main(["verify", "--sweep", "12", "--seed", "9", "-o", str(b)]) == 0
     assert records_without_timestamp(a) == records_without_timestamp(b)
+
+
+def test_verify_sweep_draws_are_pinned():
+    # the keys and c_tol bits of one sweep: a change to any draw, to the quantile or to a
+    # generator moves this digest
+    digest = hashlib.sha256()
+    for key, _, config, _ in sweep_configurations(300, 5, 14):
+        digest.update(f"{key} {config.c_tol.hex()}\n".encode())
+    assert digest.hexdigest() == "ecd5bc3a7283d8a49b7c9d5a2630731f12f5aa12bfdae8f3b658ad733ad18232"
+
+
+COSTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormal and zero
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),  # ties
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(arrays(np.float64, st.integers(2, 4096), elements=COSTS),
+       st.sampled_from(SWEEP_QUANTILES + (0.0, 1.0)))
+@example(np.array([0.0, 0.0, 0.0, -0.0, -0.0]), 0.9)  # the kth set picks which zero
+@example(np.array([1.0, 2.0, 3.0, 5.0]), 0.9)  # g = 0.7, numpy's b - d * (1 - g) branch
+@example(np.array([1.0, 2.0, 3.0, 5.0]), 0.1)  # g = 0.3, its a + d * g branch
+def test_quantile_equals_numpy_to_the_bit(costs, q):
+    # neighbours more than the float range apart overflow b - a: numpy warns, and both give
+    # inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.quantile(costs, q))
+    assert _quantile(costs, q).hex() == expected.hex()
 
 
 def test_verify_encoder_spec_error(tmp_path):
@@ -455,7 +488,25 @@ MALFORMED_ARGV = {
                               "--seed", "-1"],
     # an empty list shifted by -1 in the power-of-two check, a ValueError with exit 1
     "generate_explicit_empty": ["generate", "--kind", "explicit", "--costs", ",", "-o", "{out}"],
+    # costs -1e308 and 1e308: shifting them overflowed, and the Born weights summed to nan
+    "verify_linear_span_overflows": ["verify", "{wide_text}", "--encoder", "linear",
+                                     "--c-tol", "0"],
+    "verify_cospow_span_overflows": ["verify", "{wide_text}", "--encoder", "cospow:2",
+                                     "--c-tol", "0"],
+    "compare_postselect_span_overflows": ["compare", "{wide_text}", "--c-tol", "0", "--strategy",
+                                          "random,postselect", "--encoder", "linear"],
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--encoder", "identity", "--c-tol", "0"],
+    ["verify", "--encoder", "oracle:0", "--c-tol", "0"],
+    ["compare", "--c-tol", "0", "--strategy", "random,hillclimb,grover"],
+])
+def test_a_span_past_the_float_range_runs_where_nothing_scales_it(argv, tmp_path):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("n_data=1\n-1e308 1e308\n")
+    assert main([argv[0], str(wide), *argv[1:]]) == 0
 
 
 @pytest.mark.parametrize("count, n_max", [(1000, 12), (300, 14), (255, TABLE_N_MAX)])
@@ -483,7 +534,8 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "TABLE_N_MAX", 2)
     headers = {"huge_text": b"n_data=20000\n0.5 0.25\n",
                "huge_json": b'{"n_data": 1000000000, "costs": [0.5, 0.25]}',
-               "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n"}
+               "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n",
+               "wide_text": b"n_data=1\n-1e308 1e308\n"}
     paths = {"demo": write_demo(tmp_path), "out": tmp_path / "out.txt"}
     for name, text in headers.items():
         paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"

@@ -206,8 +206,8 @@ def _save_text_reference(instance, path):
 def test_hamming_distances_match_the_bit_loop(n_center):
     n_data, center = n_center
     dist = hamming_distances(n_data, center)
-    assert dist.dtype == np.int64
-    assert dist.tobytes() == _hamming_distances_reference(n_data, center).tobytes()
+    assert dist.dtype == np.uint8
+    assert np.array_equal(dist, _hamming_distances_reference(n_data, center))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -226,6 +226,22 @@ def test_hamming_structured_matches_the_list_of_cones(n_data, lipschitz, n_cente
     costs = generate("hamming_structured", params, seed=seed).costs
     reference = _hamming_structured_reference(n_data, lipschitz, n_centers, seed)
     assert costs.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("kind, params, tables", [
+    ("uniform_random", {"n_data": 16}, 1.5),  # the table, not the table and a copy
+    ("number_partition", {"weights": [float(w) for w in range(1, 17)]}, 1.5),
+    ("hamming_structured", {"n_data": 16, "n_centers": 3}, 2.5),  # the table and one cone
+])
+def test_generate_hands_its_table_over_without_a_copy(kind, params, tables):
+    tracemalloc.start()
+    try:
+        inst = generate(kind, params, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.size == 1 << 16
+    assert peak < tables * 8 * (1 << 16)
 
 
 def test_instance_validation():

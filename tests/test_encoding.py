@@ -111,6 +111,20 @@ def test_negative_costs_shift_with_threshold():
     assert np.array_equal(amps, (inst.costs < 2e-17).astype(float))
 
 
+def test_a_span_past_the_float_range_is_refused_before_any_array_op():
+    # costs - min overflowed to inf, and the Born weights then summed to nan
+    inst = generate("explicit", {"costs": [-1e308, 1e308]})
+    for enc in (AmplitudeEncoder.cosine_power(2), AmplitudeEncoder.linear()):
+        with pytest.raises(ConfigurationError, match="span more than the float range"):
+            instance_amplitudes(enc, inst)
+    assert np.array_equal(amplitudes(AmplitudeEncoder.identity(), inst.costs), [1.0, 1.0])
+    assert np.array_equal(amplitudes(AmplitudeEncoder.oracle_threshold(0.0), inst.costs),
+                          [1.0, 0.0])
+    # the widest span that still fits scales as before: the top cost reaches u = 1
+    top = np.finfo(float).max
+    assert np.array_equal(amplitudes(AmplitudeEncoder.linear(), [-top / 2, top / 2]), [1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # spec strings
 
