@@ -127,9 +127,9 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
                           offset_c + L * hamming(k, c), so every single-bit
                           flip changes the cost by at most L
 
-    The three generated kinds hand their fresh table to the instance
-    read-only, so it is kept, not copied.  An explicit table is copied, as
-    `np.asarray` may return the caller's own array.
+    Each kind hands its fresh table to the instance read-only, so it is
+    kept, not copied.  An explicit table is a copy of the caller's costs,
+    so the instance never holds the caller's own array.
     """
     parsed = check_params(kind, params)
     if seed < 0:
@@ -138,7 +138,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> CostInstance:
     provenance = {"kind": kind, "seed": int(seed), "params": dict(params)}
 
     if kind == "explicit":
-        return CostInstance(parsed[0], np.asarray(params["costs"], dtype=float), provenance)
+        return _handed_over(parsed[0], np.array(params["costs"], dtype=float), provenance)
 
     if kind == "uniform_random":
         n_data, low, high = parsed

@@ -236,8 +236,7 @@ def encode(
             f"state has n_data={layout.n_data} but instance has n_data={instance.n_data}"
         )
     expected = uniform_superposition(layout)
-    if state is not expected and not np.allclose(state.amplitudes, expected.amplitudes,
-                                                 atol=NORM_ATOL):
+    if state is not expected and not np.allclose(state._grid, expected._grid, atol=NORM_ATOL):
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
     if junk == JunkPolicy.CONCENTRATED:

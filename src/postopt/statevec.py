@@ -14,8 +14,8 @@ the long way through explicit conditional states and outcome distributions;
 the tests compare `algorithm` against them on a dense encoded state.
 
 A state's dtype follows its amplitudes: complex input is stored as
-complex128, anything else as float64.  The uniform state has real
-amplitudes, so it is a float64 grid, half the bytes of a complex one.
+complex128, anything else as float64.  The uniform state is one ancilla row
+[1/sqrt(N), 0, ..., 0] broadcast over the N data rows, 8 * 2**n_anc bytes.
 
 All operations are pure: they never mutate their inputs, and a constructor
 copies a writable input array rather than freeze the caller's.  Amplitude
@@ -24,9 +24,9 @@ The views guard against accidental writes only: ``x.base.obj`` still reaches
 the owning array, which numpy lets a caller mark writable again.
 `uniform_superposition` keeps the uniform state of the last layout, so
 repeated calls share one object, and `encoding.encode` keeps that object as
-the key of its last result.  It is the one dense state the production path
-holds, at most 128 MiB at the 24-qubit cap; besides it, a verify holds the
-cost table, the encoded instance's two Born columns and O(block) temporaries.
+the key of its last result.  The production path builds no dense state: a
+verify holds the cost table, the encoded instance's two Born columns and
+O(block) temporaries.
 """
 
 from __future__ import annotations
@@ -108,31 +108,41 @@ class RegisterLayout:
 class StateVector:
     """Normalized amplitudes over the composite (data, ancilla) basis.
 
-    Stored as complex128 when the input is complex, float64 otherwise.  A
-    read-only contiguous input of that dtype is kept without a copy; any
-    other input is copied, and the caller's array is left as it was.
+    Kept as a read-only (data_dim, anc_dim) grid, complex128 for complex input
+    and float64 otherwise; a grid of one shared row (stride 0, as from
+    `np.broadcast_to`) keeps and norms just that row.  A read-only contiguous
+    input of that dtype is kept without a copy; any other input is copied.
     """
 
     layout: RegisterLayout
-    amplitudes: np.ndarray
+    _grid: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes)
-        amps = np.ascontiguousarray(amps, dtype=complex if np.iscomplexobj(amps) else float)
-        if amps.shape != (self.layout.total_dim,):
-            raise DomainError(
-                f"expected {self.layout.total_dim} amplitudes, got shape {amps.shape}"
-            )
+        shape = (self.layout.data_dim, self.layout.anc_dim)
+        amps = np.asarray(self._grid)
+        rows = shape[0] if amps.shape == shape and amps.strides[0] == 0 else 1
+        amps = np.ascontiguousarray(amps[0] if rows > 1 else amps,
+                                    dtype=complex if np.iscomplexobj(amps) else float)
+        if amps.shape != (self.layout.total_dim // rows,):
+            raise DomainError(f"expected {self.layout.total_dim} amplitudes, got shape {amps.shape}")
         # one pass with no BLAS call (vdot and vecdot wake a threaded BLAS); NaN stays NaN
         flat = amps.view(float)  # a complex state as its (re, im) pairs
-        norm = np.sqrt(np.einsum("i,i->", flat, flat))
+        norm = np.sqrt(rows * np.einsum("i,i->", flat, flat))
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise DomainError(f"state norm {norm} deviates from 1 by more than {NORM_ATOL}")
-        object.__setattr__(self, "amplitudes", read_only_view(amps))
+        grid = np.broadcast_to(read_only_view(amps).reshape(-1, shape[1]), shape)
+        object.__setattr__(self, "_grid", grid)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The read-only flat amplitudes; a fresh copy when the rows share one row."""
+        flat = self._grid.reshape(-1)  # a view, or a copy of a stride-0 grid
+        flat.flags.writeable = False
+        return read_only_view(flat)
 
     def grid(self) -> np.ndarray:
-        """Amplitudes reshaped to (data_dim, anc_dim); row k, column a = |k, a>."""
-        return self.amplitudes.reshape(self.layout.data_dim, self.layout.anc_dim)
+        """Amplitudes as (data_dim, anc_dim); row k, column a = |k, a>."""
+        return self._grid
 
 
 @dataclass(frozen=True)
@@ -163,13 +173,13 @@ def uniform_superposition(layout: RegisterLayout) -> StateVector:
     """Equal-amplitude superposition 1/sqrt(N) over all data states, ancilla at 0.
 
     Every |k, 0...0> gets amplitude 1/sqrt(2**n_data); everything else is 0.
-    The state of the last layout is kept, so repeated calls return one shared
-    object.
+    The grid is one ancilla row broadcast over the data rows.  The state of
+    the last layout is kept, so repeated calls return one shared object.
     """
-    grid = np.zeros((layout.data_dim, layout.anc_dim))
-    grid[:, 0] = 1.0 / np.sqrt(layout.data_dim)
-    grid.flags.writeable = False  # handed over, not copied
-    return StateVector(layout, grid.reshape(-1))
+    row = np.zeros(layout.anc_dim)
+    row[0] = 1.0 / np.sqrt(layout.data_dim)
+    row.flags.writeable = False  # handed over, not copied
+    return StateVector(layout, np.broadcast_to(row, (layout.data_dim, layout.anc_dim)))
 
 
 def _check_outcome(layout: RegisterLayout, register: str, outcome: int) -> None:
@@ -213,7 +223,7 @@ def postselect(state: StateVector, register: str, outcome: int) -> tuple[float, 
         raise ImpossibleOutcomeError(
             f"{register}={outcome} has probability {prob} <= {EPS_PROB}; cannot post-select"
         )
-    grid = np.zeros((state.layout.data_dim, state.layout.anc_dim), dtype=state.amplitudes.dtype)
+    grid = np.zeros((state.layout.data_dim, state.layout.anc_dim), dtype=state.grid().dtype)
     if register == DATA:
         grid[outcome, :] = state.grid()[outcome, :]
     else:

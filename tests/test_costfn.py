@@ -232,6 +232,7 @@ def test_hamming_structured_matches_the_list_of_cones(n_data, lipschitz, n_cente
     ("uniform_random", {"n_data": 16}, 1.5),  # the table, not the table and a copy
     ("number_partition", {"weights": [float(w) for w in range(1, 17)]}, 1.5),
     ("hamming_structured", {"n_data": 16, "n_centers": 3}, 2.5),  # the table and one cone
+    ("explicit", {"costs": [float(c) for c in range(1 << 16)]}, 1.5),  # one copy of the list
 ])
 def test_generate_hands_its_table_over_without_a_copy(kind, params, tables):
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,40 @@ def test_uniform_superposition_is_shared_for_a_layout():
     assert uniform_superposition(RegisterLayout(3, 2)) is state
     with pytest.raises(ValueError):
         state.amplitudes[1] = 0.5
+    with pytest.raises(ValueError):
+        state.grid()[1, 0] = 0.5
+    with pytest.raises(ValueError):
+        state.grid().base[0] = 0.5
+    assert np.array_equal(uniform_superposition(RegisterLayout(3, 2)).grid()[:, 0],
+                          np.full(8, 1 / np.sqrt(8)))
+
+
+def test_uniform_superposition_holds_one_ancilla_row():
+    # the product state N^(-1/2) sum_k |k>|0...0> is one row repeated, not a 2**23-entry grid
+    uniform_superposition.cache_clear()
+    tracemalloc.start()
+    try:
+        state = uniform_superposition(RegisterLayout(20, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert state.grid().shape == (1 << 20, 8) and state.grid().strides[0] == 0
+    assert state.grid()[12345, 0] == 2.0**-10 and not state.grid()[12345, 1:].any()
+
+
+def test_shared_row_state_measures_as_its_dense_copy():
+    shared = uniform_superposition(RegisterLayout(3, 2))
+    dense = StateVector(shared.layout, shared.amplitudes)
+    assert dense.grid().strides[0] != 0
+    assert shared.amplitudes.flags.c_contiguous and shared.amplitudes.base.readonly
+    assert np.array_equal(joint_distribution(shared).probs, joint_distribution(dense).probs)
+    for register in (DATA, ANCILLA):
+        assert np.array_equal(marginal_distribution(shared, register).probs,
+                              marginal_distribution(dense, register).probs)
+    for register, outcome in ((ANCILLA, 0), (DATA, 5)):
+        (prob, cond), (prob_d, cond_d) = (postselect(s, register, outcome) for s in (shared, dense))
+        assert prob == prob_d and np.array_equal(cond.amplitudes, cond_d.amplitudes)
 
 
 # ---------------------------------------------------------------------------
