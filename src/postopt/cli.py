@@ -482,6 +482,12 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    """Build the instance and write it with `save_instance`, then print a summary line.
+
+    A large text table is formatted on every usable core, with the same bytes
+    as from one process.  The file replaces the path only once it is whole, so
+    a failed write exits 2 and leaves the path as it was.
+    """
     kind = args.kind
     flag = {"explicit": "costs", "number_partition": "weights"}.get(kind, "n")
     if getattr(args, flag) in (None, ""):

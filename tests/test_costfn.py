@@ -1,5 +1,13 @@
+import errno
+import hashlib
 import io
 import json
+import math
+import os
+import shutil
+import stat
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 
@@ -8,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from postopt import costfn
+from postopt import costfn, rowformat
 from postopt.cli import main
 from postopt.costfn import (
     CostInstance,
@@ -374,7 +382,7 @@ def _random_costs(n_data, seed):
 
 @settings(max_examples=30, deadline=None, database=None)
 @given(st.integers(1, 14), st.integers(0, 2**32))
-@example(13, 0)  # exactly one block of _SAVE_BLOCK costs
+@example(13, 0)  # exactly one block of rowformat.BLOCK costs
 def test_text_writer_matches_the_line_writer(tmp_path_factory, n_data, seed):
     inst = CostInstance(n_data, _random_costs(n_data, seed))
     directory = tmp_path_factory.mktemp("text_writer")
@@ -388,6 +396,159 @@ def test_a_json_provenance_that_does_not_serialize_writes_no_file(tmp_path):
     with pytest.raises(TypeError):  # json.dumps runs before np.savez opens the file
         save_instance(inst, tmp_path / "inst.npz")
     assert not (tmp_path / "inst.npz").exists()
+
+
+# ---------------------------------------------------------------------------
+# the text writer's parts, its helper processes and the replaced file
+
+# sha256 of the text that save_instance wrote for `_pinned_instance` before the
+# writer was split into parts; the sizes fall on both sides of costfn._PART_MIN
+PINNED_TEXT = {
+    ("uniform_random", 1): "24ee9461af33d460c15070a6db16b8603f442076c00fdaad8b54ba5b8942541c",
+    ("uniform_random", 2): "fe0acf68bdd9b8e8105b57e5420286e7c5cea6c9530c15035571a7f06c1a2ebe",
+    ("uniform_random", 3): "c9f0aab1b515c466c869223b918c5f685bbadc3051dc74c46b225fa3c6a0471a",
+    ("uniform_random", 16): "16c346c649db03246a6484745ee2f985da91a5d4bd5e9b19724356cfcc588cfd",
+    ("uniform_random", 17): "bba3ebc74499648a27eecb5638ed5edf0d2ddd93c8b1ef147c19443b129cac41",
+    ("uniform_random", 18): "4d37b7a6424a4a62e81bf32a1c3404a2b5e4e874712929dc67f2c0b5539e5d96",
+    ("hamming_structured", 1): "4281c1713c8da45838430491b1c7ad894148e2698ba1981a61caf0387cadae67",
+    ("hamming_structured", 2): "71dd4a285659a05255d56561c48a0d036cfc42fbb1c4c18e42b2e70e16fa97d2",
+    ("hamming_structured", 3): "593a578a15294b7e3ed9635e2edd5613e7191c5402a502655b20a3d951b6bafb",
+    ("hamming_structured", 16): "ee0186fbe722f025a87abf9ca82f7276be7358d9d457a0e94ef307be2d64014f",
+    ("hamming_structured", 17): "cb83cb0c6bf1e477ecbc9a4986040ba5a5f5170ede5f6f66373b480b832e3547",
+    ("hamming_structured", 18): "c363ad5416687e9a93ec5d5afd87a1c511d4840048598e93588eb92a99796338",
+    ("number_partition", 1): "11aa75c185c3ee6262276a92fc0ee93084c1e33877c5c9c3bd59fc265866e5d1",
+    ("number_partition", 2): "1d1170089c37f217f52a8855a746af383688cb3134c94d65621ff184df3a2d3a",
+    ("number_partition", 3): "a392c6bbb08f2429ae43933b7c81320d6bf6cc2d377e6dbb6c1ac31f0f29c77c",
+    ("number_partition", 16): "a7f0d6aff5fb3241230ce96f12b3c400553897723dcd934520c6c40c67a381d3",
+    ("number_partition", 17): "ede838d8cd6f4892bbfac8191833a2079b9557062a370c0653e6b02274122f78",
+    ("number_partition", 18): "4a8c1e8031180f21e6eb81434af3a850e65d49f8078b7c43659426c66d3d38a3",
+    ("edges", 17): "696845e9aaea5728e065c5ee562fd7437249d6027f0c9c3ae289765629356fd7",
+}
+EDGE_COSTS = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+
+
+def _pinned_instance(kind, n):
+    if kind == "edges":
+        costs = generate("uniform_random", {"n_data": 17, "low": -1e3, "high": 1e3}, 17).costs.copy()
+        for i, value in enumerate(EDGE_COSTS):  # at both ends, and where 2 or 3 parts meet
+            costs[[i, (1 << 16) - 1 - i, (1 << 16) + i, 43690 + i, (1 << 17) - 1 - i]] = value
+        return CostInstance(17, costs)
+    if kind == "number_partition":
+        return generate(kind, {"weights": [math.sqrt(i + 2) for i in range(n)]})
+    return generate(kind, {"n_data": n}, seed=n)
+
+
+@pytest.mark.parametrize("kind, n", list(PINNED_TEXT))
+def test_text_bytes_match_the_pinned_digests(tmp_path, kind, n):
+    save_instance(_pinned_instance(kind, n), tmp_path / "inst.txt")
+    assert hashlib.sha256((tmp_path / "inst.txt").read_bytes()).hexdigest() == PINNED_TEXT[kind, n]
+
+
+@pytest.mark.parametrize("cpus, n_data", [(2, 12), (3, 12), (5, 11), (8, 10)])
+def test_text_split_into_parts_matches_one_process(tmp_path, monkeypatch, cpus, n_data):
+    inst = CostInstance(n_data, _random_costs(n_data, cpus))
+    _save_text_reference(inst, tmp_path / "reference.txt")
+    monkeypatch.setattr(costfn, "_PART_MIN", 1 << 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = _record_helpers(monkeypatch)
+    save_instance(inst, tmp_path / "inst.txt")
+    assert (tmp_path / "inst.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    assert len(started) == min(cpus, inst.size >> 8) - 1
+    _assert_reaped(started)
+
+
+def _record_helpers(monkeypatch):
+    """The pids of the helper processes save_instance starts from now on."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self.pid)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def _assert_reaped(pids):
+    for pid in pids:  # waited for: neither running nor a zombie
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _self_killing_command(tmp_path):
+    script = tmp_path / "killed.sh"
+    script.write_text("#!/bin/sh\necho helper stderr line >&2\nkill -9 $$\n")
+    script.chmod(0o755)
+    return str(script)
+
+
+def _formatter_failing_at_third_block(monkeypatch):
+    real, calls = rowformat.format_rows, []
+
+    def failing(costs, per):
+        calls.append(len(costs))
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(costs, per)
+
+    monkeypatch.setattr(rowformat, "format_rows", failing)
+
+
+@pytest.mark.parametrize("failure", ["helper_exits_1", "helper_killed", "formatter_raises"])
+@pytest.mark.parametrize("existing", [None, b"n_data=1\n0.5 0.25\n"])
+def test_failed_text_write_exits_2_and_leaves_the_path_as_it_was(
+        tmp_path, monkeypatch, capsys, failure, existing):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if failure == "helper_exits_1":
+        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    elif failure == "helper_killed":
+        monkeypatch.setattr(sys, "executable", _self_killing_command(tmp_path))
+    else:
+        _formatter_failing_at_third_block(monkeypatch)
+    started = _record_helpers(monkeypatch)
+    out = tmp_path / "out" / "inst.txt"
+    out.parent.mkdir()
+    if existing is not None:
+        out.write_bytes(existing)
+    argv = ["generate", "--kind", "uniform_random", "--n", "17", "--seed", "4", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("postopt generate: ")
+    if failure == "helper_killed":
+        assert "signal 9" in err and "helper stderr line" in err
+    assert len(started) == 1
+    _assert_reaped(started)
+    assert os.listdir(out.parent) == ([] if existing is None else ["inst.txt"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".npz"])
+def test_a_saved_file_gets_the_mode_open_would_give(tmp_path, suffix):
+    inst = demo_instance()
+    fresh, kept = tmp_path / f"fresh{suffix}", tmp_path / f"kept{suffix}"
+    kept.write_bytes(b"old")
+    kept.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        save_instance(inst, fresh)
+        save_instance(inst, kept)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert np.array_equal(load_instance(kept).costs, inst.costs)
+
+
+def test_saving_through_a_symlink_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old")
+    link.symlink_to(target)
+    save_instance(demo_instance(), link)
+    assert link.is_symlink()
+    assert np.array_equal(load_instance(target).costs, DEMO)
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +659,36 @@ def test_bad_token_in_a_later_chunk_of_one_line_exits_2(n17_text, tmp_path, monk
     path = tmp_path / "inst.txt"
     path.write_bytes(data[:at] + b" 0.5x" + data[at:])
     assert main(["verify", str(path), "--c-tol", "0"]) == 2
+
+
+def test_a_text_body_past_its_header_count_stops_at_the_first_chunk(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"n_data=2\n" + b"0.5 " * (1 << 20))
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="more than 2\\*\\*2 costs"):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of text and the 8-byte floats of its 4-byte tokens, plus 1 MiB; the whole
+    # body parses to 8 MiB
+    assert peak < costfn._PARSE_BLOCK_BYTES + 2 * costfn._PARSE_BLOCK_BYTES + (1 << 20)
+
+
+def test_a_huge_header_count_builds_no_huge_bound(tmp_path):
+    # the loader's running count must not be checked against 1 << 10**9, a 125 MB integer
+    path = tmp_path / "inst.txt"
+    path.write_text("n_data=1000000000\n0.5 0.25\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"2\*\*1000000000 costs"):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * costfn._PARSE_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("body", [
