@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["explicit", "uniform_random", "number_partition", "hamming_structured"])
     gen.add_argument("--n", type=int, help="data qubit count (uniform_random, hamming_structured)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--costs", help="comma-separated cost table (explicit)")
+    gen.add_argument("--costs", help="comma-separated cost table (explicit); write --costs=-1.5,2 "
+                     "for a list that starts with '-'; past about 2**12 full-precision costs, "
+                     "Linux's 128 KiB argument limit is passed: write a text or .npz file instead")
     gen.add_argument("--weights", help="comma-separated positive weights (number_partition)")
     gen.add_argument("--low", type=float, default=0.0, help="uniform_random lower bound")
     gen.add_argument("--high", type=float, default=1.0, help="uniform_random upper bound")
@@ -327,7 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.c_tol is None:
             raise ConfigurationError("--c-tol is required when verifying an instance file")
         config = _run_config(args, "identity")
-        instance = load_instance(args.instance)
+        instance = load_instance(args.instance, TABLE_N_MAX)
         _check_capacity(instance, config)
         key = (f"file:{args.instance}/{config.encoder.spec()}/{config.junk.value}/"
                f"anc{config.n_anc}/ctol{args.c_tol:.6g}")
@@ -436,7 +438,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not 1 <= args.budget <= BUDGET_MAX:
         raise ConfigurationError(f"--budget must lie in [1, {BUDGET_MAX}]")
     config = _run_config(args, "cospow:1", max_preparations=args.budget)
-    instance = load_instance(args.instance)
+    instance = load_instance(args.instance, TABLE_N_MAX)
     _check_capacity(instance, config, encodes=postselects)
     if count_below(instance, args.c_tol) < 1:
         raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")

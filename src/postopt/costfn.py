@@ -7,20 +7,24 @@ and argmin are exact enumerations.  Generators are deterministic given
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
+import pickle
+import re
 import shutil
+import signal
 import stat
-import sys
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import rowformat
 from .errors import ConfigurationError, DomainError
 from .statevec import read_only_view
 
@@ -180,11 +184,12 @@ def _handed_over(n_data: int, costs: np.ndarray, provenance: dict) -> CostInstan
 
 
 _PARSE_BLOCK_BYTES = 1 << 20  # bytes of text read per chunk, parsed by one np.fromstring call
-# Fewest costs in a part of a split text table.  Measured on a 2-core host, with
-# a fresh process per save: split in two, a table of 2**17 costs saved in 0.100 s
-# against 0.130 s, and one of 2**16 in 0.057 s against 0.040 s, as a helper's
-# 12 ms start-up then outweighs the half it takes over.
-_PART_MIN = 1 << 16
+BLOCK = 8192  # costs formatted per `%` call; a multiple of the 8 per line
+# Fewest costs, and fewest body bytes, in a part of a split text write or read: on a
+# 2-core host, a smaller part took longer to fork and collect than it saved
+_PART_MIN, _READ_PART_MIN = 1 << 16, 1 << 21
+_CUT_SEARCH_BYTES = 1 << 12  # bytes read at a nominal cut of a text body to find whitespace
+_RAISED = 3  # exit status of a forked part whose work raised; its file holds the exception
 
 
 def save_instance(instance: CostInstance, path: str | Path) -> None:
@@ -196,12 +201,9 @@ def save_instance(instance: CostInstance, path: str | Path) -> None:
     the new file gets the mode that `open(path, "w")` would give.  A target that
     exists but is no regular file, such as `/dev/null`, is written in place.
 
-    The text writer formats a block of costs per `%` call.  A table of at least
-    2 * _PART_MIN costs is split at line boundaries into one part per usable
-    CPU, with at least _PART_MIN costs in each part: this process formats the
-    first part, and a helper process running `rowformat` formats each other
-    one.  The bytes are the same as from one process.  A helper that fails
-    raises `OSError` with its stderr, and no helper outlives this call.
+    The text writer formats a block of costs per `%` call.  `_forked_parts`
+    formats a table of 2 * _PART_MIN costs or more in parts split at line
+    boundaries, one per usable CPU, with the bytes of one process.
     """
     path = Path(path)
     if path.suffix == ".npz":
@@ -236,59 +238,103 @@ def _replace_with(path: Path, write) -> None:
         raise
 
 
+def format_rows(costs: list, per: int) -> bytes:
+    """The costs as lines of `per`, each cost its shortest repr, space-separated."""
+    return ((" ".join(["%r"] * per) + "\n") * (len(costs) // per) % tuple(costs)).encode()
+
+
 def _write_text(instance: CostInstance, out) -> None:
     """The header line, then 8 costs a line (a table of 2 or 4 on one line)."""
     per = min(8, instance.size)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, instance.size // _PART_MIN))
+    parts = _part_count(instance.size, _PART_MIN)
     bounds = [instance.size * i // parts // per * per for i in range(parts)] + [instance.size]
     out.write(b"n_data=%d\n" % instance.n_data)
-    helpers = []
+
+    def rows(part: tuple[int, int], emit) -> None:
+        for at in range(*part, BLOCK):
+            emit(format_rows(instance.costs[at:min(at + BLOCK, part[1])].tolist(), per))
+
+    with _forked_parts(rows, list(zip(bounds, bounds[1:])), out.write) as files:
+        for file in files:
+            shutil.copyfileobj(file, out, _PARSE_BLOCK_BYTES)
+
+
+def _part_count(size: int, fewest: int) -> int:
+    """One part per usable CPU, at least `fewest` of `size` each; one where forking is unsafe."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1  # a forked child would keep another thread's locks, held
+    return max(1, min(len(os.sched_getaffinity(0)), size // fewest))
+
+
+@contextlib.contextmanager
+def _forked_parts(work, parts: list, emit):
+    """Run `work(part, emit)` on each of `parts`: the first here, each other in a forked child.
+
+    A child emits into an unnamed temporary file, so it never waits on this process.  This
+    yields an iterator over those files, in order; each step waits for its child and raises
+    its failure here: the exception its work raised, or `OSError` with its stderr.  Leaving
+    the block kills every child still running, and reaps every child.
+    """
+    running, files = {}, []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            helpers.append(_start_helper(instance.costs[start:stop], per))
-        for start in range(0, bounds[1], rowformat.BLOCK):
-            stop = min(start + rowformat.BLOCK, bounds[1])
-            out.write(rowformat.format_rows(instance.costs[start:stop].tolist(), per))
-        for proc, rows in helpers:
-            errors = proc.communicate()[1].decode(errors="replace").strip().splitlines()
-            if proc.returncode:
-                status = (f"was killed by signal {-proc.returncode}" if proc.returncode < 0
-                          else f"exited with status {proc.returncode}")
-                raise OSError(f"text writer helper {status}: {' | '.join(errors) or 'no stderr'}")
-            rows.seek(0)
-            shutil.copyfileobj(rows, out, _PARSE_BLOCK_BYTES)
+        for part in parts[1:]:
+            files.append((tempfile.TemporaryFile(), tempfile.TemporaryFile()))
+            if not (pid := os.fork()):
+                _run_child(work, part, *files[-1])
+            running[pid] = files[-1]
+        work(parts[0], emit)
+        yield (_reaped(pid, running) for pid in list(running))
     finally:
-        for proc, rows in helpers:
-            if proc.returncode is None:
-                proc.kill()
-                proc.communicate()
-            rows.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for out, err in files:
+            out.close()
+            err.close()
 
 
-def _start_helper(costs: np.ndarray, per: int):
-    """A helper process formatting `costs`, and the unnamed file it writes its rows to."""
-    import subprocess  # here, as only a large text write needs it: 4 ms at every CLI start
+def _run_child(work, part, out, err) -> None:
+    """Run `work` into `out`, stderr into `err`, and exit 0, or _RAISED with the exception
+    pickled into `out`; never return into the call stack, which is the parent's."""
+    try:
+        os.dup2(err.fileno(), 2)
+        work(part, out.write)
+        out.flush()
+        os._exit(0)
+    except BaseException as exc:  # an interrupt too: any exception goes to the parent
+        out.seek(0)
+        out.truncate()
+        pickle.dump(exc, out)
+        out.flush()
+        os._exit(_RAISED)
+    finally:
+        os._exit(1)  # the exception did not pickle
 
-    with tempfile.TemporaryFile() as raw:
-        raw.write(costs)
-        raw.seek(0)
-        rows = tempfile.TemporaryFile()
-        try:
-            return subprocess.Popen([sys.executable, "-S", "-I", rowformat.__file__, str(per)],
-                                    stdin=raw, stdout=rows, stderr=subprocess.PIPE), rows
-        except BaseException:
-            rows.close()
-            raise
+
+def _reaped(pid: int, running: dict):
+    """Wait for the child `pid`; return its output file at offset 0, or raise its failure."""
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    out, err = running.pop(pid)
+    out.seek(0)
+    if status == _RAISED:
+        raise pickle.load(out)  # written by this program's own child
+    if status:
+        err.seek(0)
+        errors = err.read().decode(errors="replace").strip().splitlines()
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise OSError(f"text table part process {how}: {' | '.join(errors) or 'no stderr'}")
+    return out
 
 
-def load_instance(path: str | Path) -> CostInstance:
+def load_instance(path: str | Path, n_data_max: int | None = None) -> CostInstance:
     """Read an instance file: `.npz` by its suffix, else text.
 
     The text form is an `n_data=<ASCII digits>` line, then the costs in any line
-    layout.  Its body is parsed in chunks of about 1 MiB, so a load holds the
-    table and a few chunks, never a Python object per cost.  A body with more
-    than 2**n_data costs is refused at the first chunk that passes that count.
+    layout.  A header past `n_data_max` is refused before the body is read.  The body
+    is parsed in chunks of about 1 MiB, never a Python object per cost; a regular
+    file's body of 2 * _READ_PART_MIN bytes or more in parts cut at whitespace, one
+    per usable CPU, by `_forked_parts`, with the costs and errors of one process.  A
+    body past 2**n_data costs is refused at the first chunk, or part, that passes it.
     """
     if Path(path).suffix == ".npz":
         return _load_npz(path)
@@ -308,31 +354,79 @@ def load_instance(path: str | Path) -> CostInstance:
             raise ConfigurationError(f"{path}: expected 'n_data=<int>' header")
         try:
             n_data = int(digits)
-            # reading stops at the first chunk past 2**n_data costs; no file holds 2**62,
-            # so a huge header needs no bound built from it
-            most, count = 1 << min(n_data, 62), 0
-            parts, pending = [], head[len(header):]
-            # each chunk is parsed through its last whitespace byte, as the token after it
-            # may run on; at the end of the file, a blank chunk flushes that token
-            while count <= most and (chunk := f.read(_PARSE_BLOCK_BYTES) or pending and b" "):
-                cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
-                if not cut:
-                    pending += chunk
-                    continue
-                block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
-                del chunk  # one copy of the text at a time, so the heap is left compact
-                if not block.isspace():  # fromstring reads blank text as [-1.0]
-                    # numpy >= 2 raises ValueError at a bad token
-                    parts.append(np.fromstring(block, sep=" "))
-                    count += parts[-1].size
-                del block
-        # int() raises ValueError past 4300 digits
-        except ValueError as exc:
+        except ValueError as exc:  # int() raises ValueError past 4300 digits
             raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
-    if count > most:
-        raise ConfigurationError(f"{path}: more than 2**{n_data} costs under 'n_data={n_data}'")
-    costs = np.concatenate(parts) if parts else np.empty(0)
+        if n_data_max is not None and n_data > n_data_max:
+            raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {n_data_max}")
+        fd, pending = f.fileno(), head[len(header):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # read again, a byte range per part
+            parts, pending = _text_ranges(fd, f.tell() - len(pending), os.fstat(fd).st_size), b""
+        else:  # a FIFO or a terminal: read on, in order, as one part
+            parts = [None]
+
+        def parse(part: tuple[int, int] | None, emit) -> None:
+            # os.pread leaves the file offset, which a child shares with its parent, alone
+            chunks = (iter(lambda: f.read(_PARSE_BLOCK_BYTES), b"") if part is None else
+                      (os.pread(fd, min(_PARSE_BLOCK_BYTES, part[1] - at), at)
+                       for at in range(*part, _PARSE_BLOCK_BYTES)))
+            _parse_text(chunks, pending, path, n_data, emit)
+
+        # every part's costs go to a file, then into the one table: this process's arrays,
+        # held until the table was built, left up to 4 MiB of freed heap resident
+        with tempfile.TemporaryFile() as first, _forked_parts(parse, parts, first.write) as rest:
+            first.seek(0)
+            outputs, count = [], 0
+            for file in itertools.chain([first], rest):  # each part's count before its costs
+                count += os.fstat(file.fileno()).st_size // 8
+                if count > 1 << min(n_data, 62):
+                    raise _too_many(path, n_data)
+                outputs.append(file)
+            costs, done = np.empty(count), 0
+            for file in outputs:
+                done += file.readinto(costs[done:]) // 8
     return _handed_over(n_data, costs, {"kind": "file", "path": str(path)})
+
+
+def _text_ranges(fd: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """Bytes [start, stop) of `fd` as one range per part, each cut at the first whitespace
+    byte past its nominal offset, so no token spans two; a cut that finds none is dropped."""
+    parts, cuts = _part_count(stop - start, _READ_PART_MIN), {start, stop}
+    for i in range(1, parts):
+        at = start + (stop - start) * i // parts
+        if found := re.search(rb"[ \t\n\r\v\f]", os.pread(fd, _CUT_SEARCH_BYTES, at)):
+            cuts.add(at + found.start())
+    bounds = sorted(cuts)
+    return list(zip(bounds, bounds[1:])) or [(start, stop)]
+
+
+def _parse_text(chunks, pending: bytes, path, n_data: int, emit) -> None:
+    """Parse `pending`, then `chunks`, and emit the costs a chunk at a time; refuse a bad
+    token, and more than 2**n_data costs at the first chunk past them."""
+    # no file holds 2**62 costs, so a huge header needs no bound built from it
+    most, count = 1 << min(n_data, 62), 0
+    # each chunk is parsed through its last whitespace byte, as the token after it may
+    # run on; at the end of the text, a blank chunk flushes that token
+    while chunk := next(chunks, b"") or pending and b" ":
+        cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
+        if not cut:
+            pending += chunk
+            continue
+        block, pending = b"".join((pending, memoryview(chunk)[:cut])), chunk[cut:]
+        del chunk  # one copy of the text at a time, so the heap is left compact
+        if not block.isspace():  # fromstring reads blank text as [-1.0]
+            try:  # numpy >= 2 raises ValueError at a bad token
+                costs = np.fromstring(block, sep=" ")
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
+            count += costs.size
+            if count > most:
+                raise _too_many(path, n_data)
+            emit(costs)
+        del block
+
+
+def _too_many(path, n_data: int) -> ConfigurationError:
+    return ConfigurationError(f"{path}: more than 2**{n_data} costs under 'n_data={n_data}'")
 
 
 def _load_npz(path: str | Path) -> CostInstance:

@@ -64,6 +64,13 @@ def test_generate_number_partition_full_plus(tmp_path):
     assert inst.provenance["kind"] == "number_partition"
 
 
+def test_generate_explicit_takes_a_negative_first_cost_after_an_equals_sign(tmp_path):
+    # `--costs -1.5,2` would be read by argparse as an option, not as the flag's value
+    out = tmp_path / "inst.txt"
+    assert main(["generate", "--kind", "explicit", "--costs=-1.5,2", "-o", str(out)]) == 0
+    assert np.array_equal(load_instance(out).costs, [-1.5, 2.0])
+
+
 def test_generate_bad_kind_usage_error(tmp_path):
     assert main(["generate", "--kind", "nonsense", "-o", str(tmp_path / "x.txt")]) == 2
 

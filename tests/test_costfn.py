@@ -4,10 +4,10 @@ import io
 import json
 import math
 import os
-import shutil
+import signal
 import stat
 import subprocess
-import sys
+import threading
 import tracemalloc
 import zipfile
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from postopt import costfn, rowformat
+from postopt import costfn
 from postopt.cli import main
 from postopt.costfn import (
     CostInstance,
@@ -382,7 +382,7 @@ def _random_costs(n_data, seed):
 
 @settings(max_examples=30, deadline=None, database=None)
 @given(st.integers(1, 14), st.integers(0, 2**32))
-@example(13, 0)  # exactly one block of rowformat.BLOCK costs
+@example(13, 0)  # exactly one block of costfn.BLOCK costs
 def test_text_writer_matches_the_line_writer(tmp_path_factory, n_data, seed):
     inst = CostInstance(n_data, _random_costs(n_data, seed))
     directory = tmp_path_factory.mktemp("text_writer")
@@ -399,7 +399,7 @@ def test_a_json_provenance_that_does_not_serialize_writes_no_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the text writer's parts, its helper processes and the replaced file
+# the text writer's parts, its forked children and the replaced file
 
 # sha256 of the text that save_instance wrote for `_pinned_instance` before the
 # writer was split into parts; the sizes fall on both sides of costfn._PART_MIN
@@ -450,23 +450,24 @@ def test_text_split_into_parts_matches_one_process(tmp_path, monkeypatch, cpus, 
     _save_text_reference(inst, tmp_path / "reference.txt")
     monkeypatch.setattr(costfn, "_PART_MIN", 1 << 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    started = _record_helpers(monkeypatch)
+    started = _record_forks(monkeypatch)
     save_instance(inst, tmp_path / "inst.txt")
     assert (tmp_path / "inst.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
     assert len(started) == min(cpus, inst.size >> 8) - 1
     _assert_reaped(started)
 
 
-def _record_helpers(monkeypatch):
-    """The pids of the helper processes save_instance starts from now on."""
-    started = []
+def _record_forks(monkeypatch):
+    """The pids of the children that costfn forks from now on."""
+    started, fork = [], os.fork
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self.pid)
+    def recorded():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(os, "fork", recorded)
     return started
 
 
@@ -476,15 +477,29 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def _self_killing_command(tmp_path):
-    script = tmp_path / "killed.sh"
-    script.write_text("#!/bin/sh\necho helper stderr line >&2\nkill -9 $$\n")
-    script.chmod(0o755)
-    return str(script)
+def _exit_1():
+    os._exit(1)
+
+
+def _write_stderr_and_kill_self():
+    os.write(2, b"helper stderr line\n")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fail_in_children(monkeypatch, name, fault):
+    """Make `costfn.<name>`, a part's work, call `fault` first in every forked child."""
+    real, parent = getattr(costfn, name), os.getpid()
+
+    def work(*args):
+        if os.getpid() != parent:
+            fault()
+        return real(*args)
+
+    monkeypatch.setattr(costfn, name, work)
 
 
 def _formatter_failing_at_third_block(monkeypatch):
-    real, calls = rowformat.format_rows, []
+    real, calls = costfn.format_rows, []
 
     def failing(costs, per):
         calls.append(len(costs))
@@ -492,7 +507,7 @@ def _formatter_failing_at_third_block(monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
         return real(costs, per)
 
-    monkeypatch.setattr(rowformat, "format_rows", failing)
+    monkeypatch.setattr(costfn, "format_rows", failing)
 
 
 @pytest.mark.parametrize("failure", ["helper_exits_1", "helper_killed", "formatter_raises"])
@@ -501,12 +516,12 @@ def test_failed_text_write_exits_2_and_leaves_the_path_as_it_was(
         tmp_path, monkeypatch, capsys, failure, existing):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     if failure == "helper_exits_1":
-        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+        _fail_in_children(monkeypatch, "format_rows", _exit_1)
     elif failure == "helper_killed":
-        monkeypatch.setattr(sys, "executable", _self_killing_command(tmp_path))
+        _fail_in_children(monkeypatch, "format_rows", _write_stderr_and_kill_self)
     else:
         _formatter_failing_at_third_block(monkeypatch)
-    started = _record_helpers(monkeypatch)
+    started = _record_forks(monkeypatch)
     out = tmp_path / "out" / "inst.txt"
     out.parent.mkdir()
     if existing is not None:
@@ -691,6 +706,25 @@ def test_a_huge_header_count_builds_no_huge_bound(tmp_path):
     assert peak < 2 * costfn._PARSE_BLOCK_BYTES
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_a_header_past_the_table_cap_is_refused_before_the_body(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"n_data=21\n" + b"0.5 " * (1 << 21))
+    started = _record_forks(monkeypatch)
+    argv = [command, str(path), "--c-tol", "1"] + (["--strategy", "random"] * (command == "compare"))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "n_data=21 exceeds the table cap of 20" in err
+    assert peak < 1 << 20
+    assert started == []
+
+
 @pytest.mark.parametrize("body", [
     "0.5 0.25 1.0",            # one cost too few
     "0.5 0.25 1.0 2.0 3.0",    # one cost too many
@@ -739,6 +773,153 @@ def test_non_finite_token_fails_the_finiteness_check(tmp_path, token):
     with pytest.raises(DomainError, match="finite"):
         load_instance(path)
     assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the text reader's parts
+
+def _padded_tokens(data):
+    """The body as one line of tokens, each zero-padded to 31 bytes, after 21 blanks.
+
+    An n_data=10 table then puts every nominal cut for 2, 3, 5 or 8 parts inside a token.
+    """
+    header, _, body = data.partition(b"\n")
+    tokens = [token[:1] + token[1:].rjust(30, b"0") if token.startswith(b"-")
+              else token.rjust(31, b"0") for token in body.split()]
+    return header + b"\n" + b" " * 21 + b" ".join(tokens) + b"\n"
+
+
+READ_LAYOUTS = {
+    "lines": lambda data: data,
+    "one_line": _one_line_body,
+    "lone_cr": lambda data: data.replace(b"\n", b"\r"),
+    "straddling": _padded_tokens,
+    "blank_tail": lambda data: data + (b" " * 1022 + b"\r\n") * 40,  # most parts blank
+}
+
+
+def _split_reads(monkeypatch, cpus):
+    """Split a text body of 2 KiB or more into `cpus` parts, read in 4 KiB chunks."""
+    monkeypatch.setattr(costfn, "_READ_PART_MIN", 1 << 10)
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return _record_forks(monkeypatch)
+
+
+def _nominal_cuts(data, cpus):
+    start = data.index(b"\n") + 1
+    return [start + (len(data) - start) * i // cpus for i in range(1, cpus)]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5, 8])
+@pytest.mark.parametrize("layout", sorted(READ_LAYOUTS))
+def test_text_read_in_parts_matches_one_process(tmp_path, monkeypatch, cpus, layout):
+    costs = _random_costs(10, cpus)
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, costs), path)
+    data = READ_LAYOUTS[layout](path.read_bytes())
+    path.write_bytes(data)
+    if layout == "straddling":  # no whitespace at or before a nominal cut: it is inside a token
+        for at in _nominal_cuts(data, cpus):
+            assert data[at - 1:at + 1].split() == [data[at - 1:at + 1]]
+    started = _split_reads(monkeypatch, cpus)
+    loaded = load_instance(path)
+    assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
+    assert len(started) == cpus - 1
+    _assert_reaped(started)
+
+
+def test_a_cut_that_finds_no_whitespace_is_dropped(tmp_path, monkeypatch):
+    costs = _random_costs(10, 10)
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, costs), path)
+    path.write_bytes(_padded_tokens(path.read_bytes()))
+    started = _split_reads(monkeypatch, 8)
+    monkeypatch.setattr(costfn, "_CUT_SEARCH_BYTES", 2)  # each nominal cut is inside a token
+    assert np.array_equal(load_instance(path).costs.view(np.int64), costs.view(np.int64))
+    assert started == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5, 8])
+def test_a_bad_token_in_the_last_part_exits_2_as_in_one_process(tmp_path, monkeypatch, capsys, cpus):
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, _random_costs(10, cpus)), path)
+    data = path.read_bytes()
+    at = data.index(b" ", len(data) - 40)
+    path.write_bytes(data[:at] + b" 0.5x" + data[at:])
+    started = _split_reads(monkeypatch, cpus)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    assert len(started) == cpus - 1
+    _assert_reaped(started)
+    split = capsys.readouterr().err
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    assert capsys.readouterr().err == split
+    assert len(split.splitlines()) == 1 and "malformed instance file" in split
+    assert len(started) == cpus - 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5, 8])
+def test_a_body_past_its_count_in_a_later_part_exits_2(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, _random_costs(10, cpus)), path)
+    path.write_bytes(path.read_bytes() + b"0.5\n")
+    started = _split_reads(monkeypatch, cpus)
+    with pytest.raises(ConfigurationError, match="more than 2\\*\\*10 costs"):
+        load_instance(path)
+    _assert_reaped(started)
+
+
+@pytest.mark.parametrize("failure", ["child_exits_1", "child_killed"])
+def test_a_failed_read_child_exits_2_with_one_line(tmp_path, monkeypatch, capsys, failure):
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, _random_costs(10, 3)), path)
+    started = _split_reads(monkeypatch, 3)
+    _fail_in_children(monkeypatch, "_parse_text",
+                      _exit_1 if failure == "child_exits_1" else _write_stderr_and_kill_self)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("postopt verify: ")
+    if failure == "child_killed":
+        assert "signal 9" in err and "helper stderr line" in err
+    else:
+        assert "exited with status 1" in err
+    assert len(started) == 2
+    _assert_reaped(started)
+
+
+def test_a_second_thread_keeps_the_read_in_one_process(tmp_path, monkeypatch):
+    costs = _random_costs(10, 11)
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, costs), path)
+    started = _split_reads(monkeypatch, 4)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        loaded = load_instance(path)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
+    assert started == []
+
+
+def test_a_fifo_is_read_in_one_part(tmp_path, monkeypatch):
+    costs = _random_costs(10, 12)
+    source, fifo = tmp_path / "inst.txt", tmp_path / "fifo.txt"
+    save_instance(CostInstance(10, costs), source)
+    os.mkfifo(fifo)
+    started = _split_reads(monkeypatch, 4)
+    writer = subprocess.Popen(["sh", "-c", 'cat "$1" > "$2"', "sh", str(source), str(fifo)])
+    try:
+        loaded = load_instance(fifo)
+    finally:
+        writer.wait(timeout=30)
+    assert writer.returncode == 0
+    assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
+    assert started == []
 
 
 # ---------------------------------------------------------------------------
