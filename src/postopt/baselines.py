@@ -6,9 +6,10 @@ restarts of a run descending in lockstep blocks that reproduce the one-by-one
 loop the tests keep as its reference; the Grover baseline is the genuine
 quantum speedup, simulated exactly with an ideal cost < c_tol oracle in its
 two-dimensional marked/unmarked subspace (Brassard, Hoyer, Mosca & Tapp,
-quant-ph/0005055), and the sin^2 closed form it is reported beside runs in
-mpmath.  The tests hold that simulation to a dense O(t * N) Grover loop kept
-beside them.
+quant-ph/0005055), and the sin^2 closed form it is reported beside is a
+Chebyshev polynomial of cos 2 theta, evaluated in stdlib decimal at a
+precision that grows with the iteration count.  The tests hold that
+simulation to a dense O(t * N) Grover loop kept beside them.
 
 Trial counting is in cost-oracle calls for the classical strategies, so
 their `trials_used` are directly comparable.
@@ -127,20 +128,41 @@ def hill_climb(
 def amplitude_amplification_success(n_data: int, m: int, iterations: int) -> float:
     """Closed-form success probability of Grover iterations: sin^2((2t+1) theta).
 
-    theta = arcsin(sqrt(M/N)); t = 0 reduces to random sampling, M/N.  It is
-    evaluated at 30 digits: in doubles the rounding error of theta is
-    multiplied by 2t+1, which reaches 1e-10 by t = 10^5.
+    theta = arcsin(sqrt(M/N)); t = 0 reduces to random sampling, M/N.  With
+    c = cos(2 theta) = 1 - 2M/N, sin^2(k theta) = (1 - T_k(c)) / 2 for the
+    Chebyshev polynomial T_k and k = 2t + 1.  T_k(c) is built in decimal
+    arithmetic over the bits of k, from the pair (T_j, T_j+1) by
+    T_2j = 2 T_j^2 - 1 and T_2j+1 = 2 T_j T_j+1 - c: O(log t) products and no
+    transcendental function.  c is exact, as N is a power of two, and each
+    doubling at most quadruples the error it is handed, so n_data + 30 digits
+    plus one per bit of k leave the result within about 1e-30 at any t, and
+    where it could lie halfway between two doubles the ladder runs exactly.  In
+    doubles, theta's rounding error times 2t+1 reaches 1e-10 by t = 10^5.
     """
     n = 1 << n_data
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= M <= N, got M={m}, N={n}")
     if iterations < 0:
         raise DomainError("iterations must be >= 0")
-    import mpmath  # here, not at module top: its import would slow every command
+    import decimal  # here, not at module top: only compare's Grover records use it
 
-    with mpmath.workdps(30):
-        theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / n))
-        return float(mpmath.sin((2 * iterations + 1) * theta) ** 2)
+    k, x = 2 * iterations + 1, n - 2 * m
+    bits = n_data + 1 - (x & -x).bit_length() if x else 0  # c = x / N = odd / 2**bits
+    # For bits >= 1, T_j(c) has at most (bits - 1) j + 1 digits after the point, and a result
+    # halfway between two doubles at most 1075: wherever one can occur, `exact` digits, at
+    # most 2150, keep the ladder exact and the float correctly rounded.  For bits = 0, c and
+    # every T_j(c) are integers.
+    exact = (bits - 1) * (k + 1) + 2
+    with decimal.localcontext() as context:
+        context.prec = max(n_data + 30 + k.bit_length(), exact if exact <= 2150 else 0)
+        c = decimal.Decimal(x) / n
+        low, high = decimal.Decimal(1), c  # T_j, T_j+1 from j = 0
+        for bit in bin(k)[2:]:
+            if bit == "1":
+                low, high = 2 * low * high - c, 2 * high * high - 1
+            else:
+                low, high = 2 * low * low - 1, 2 * low * high - c
+        return float((1 - low) / 2)
 
 
 def optimal_iterations(n_data: int, m: int) -> int:

@@ -432,7 +432,9 @@ def _too_many(path, n_data: int) -> ConfigurationError:
 def _load_npz(path: str | Path) -> CostInstance:
     """Read the `.npz` form: float64 `costs`, integer `n_data`, JSON `provenance`."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        # opened here, so it is closed whatever np.load does: it left a file that starts
+        # like a zip archive but is none open when it raised
+        with open(path, "rb") as file, np.load(file, allow_pickle=False) as npz:
             costs, n_data, provenance = npz["costs"], npz["n_data"], npz["provenance"]
         if costs.dtype != np.float64 or costs.ndim != 1:
             raise TypeError(f"costs must be 1-D float64, got {costs.dtype} {costs.shape}")

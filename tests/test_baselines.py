@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -199,6 +200,16 @@ def test_closed_form_frozen_values():
     assert amplitude_amplification_success(2, 1, 1) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n_data", [1, 2, 3, 12, 20])
+def test_closed_form_exact_values(n_data):
+    n = 1 << n_data
+    for t in (0, 1, 2, 284, 10**7, 10**30):
+        assert amplitude_amplification_success(n_data, n, t) == 1.0
+        assert amplitude_amplification_success(n_data, n // 2, t) == 0.5
+    for m in {1, max(1, n // 3), n - 1, n}:
+        assert amplitude_amplification_success(n_data, m, 0) == m / n
+
+
 def test_closed_form_domain_errors():
     with pytest.raises(DomainError):
         amplitude_amplification_success(3, 0, 1)
@@ -273,10 +284,14 @@ def test_grover_simulate_matches_dense_reference_property(case):
     assert_matches_dense_reference(*case)
 
 
-def success_at_50_digits(n_data, m, t):
-    with mpmath.workdps(50):
+def success_in_mpmath(n_data, m, t, digits):
+    with mpmath.workdps(digits):
         theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / (1 << n_data)))
         return mpmath.sin((2 * t + 1) * theta) ** 2
+
+
+def success_at_50_digits(n_data, m, t):
+    return success_in_mpmath(n_data, m, t, 50)
 
 
 @st.composite
@@ -296,6 +311,33 @@ def test_both_grover_routes_match_50_digits_property(counts):
     a, _ = _grover_pair(1 << n_data, m, t)
     assert abs(m * a * a - exact) <= 1e-12
     assert abs(amplitude_amplification_success(n_data, m, t) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [10**15, 10**20, 10**30, 10**50])
+@pytest.mark.parametrize("n_data, m", [(3, 1), (12, 4095), (16, 300), (20, 1), (20, 8)])
+def test_closed_form_holds_far_past_the_cli_cap(n_data, m, t):
+    # theta carries 2t+1 times its rounding error: 30 fixed digits were 0.0078 off at 10^30
+    exact = success_in_mpmath(n_data, m, t, len(str(t)) + 40)
+    assert abs(amplitude_amplification_success(n_data, m, t) - exact) <= 1e-15
+
+
+def success_as_fraction(n_data, m, t):
+    """(1 - T_2t+1(c)) / 2 for c = 1 - 2M/N, in exact rationals, by the three-term recurrence."""
+    c = Fraction((1 << n_data) - 2 * m, 1 << n_data)
+    below, at = Fraction(1), c
+    for _ in range(2 * t):
+        below, at = at, 2 * c * at - below
+    return (1 - at) / 2
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 12).flatmap(lambda n_data: st.tuples(
+    st.just(n_data), st.integers(1, 1 << n_data), st.integers(0, 300))))
+@example((3, 3, 28))  # the exact value is halfway between two doubles: 30 digits rounded it down
+@example((2, 3, 1))  # exactly 0: 30 digits left 2.9e-62
+def test_closed_form_is_the_exact_value_rounded_once(counts):
+    # float(Fraction) rounds to nearest, ties to even
+    assert amplitude_amplification_success(*counts) == float(success_as_fraction(*counts))
 
 
 def test_grover_state_norm_preserved():

@@ -829,6 +829,38 @@ def test_text_read_in_parts_matches_one_process(tmp_path, monkeypatch, cpus, lay
     _assert_reaped(started)
 
 
+def test_every_part_process_parses_in_chunks(tmp_path, monkeypatch):
+    # tracemalloc in the caller cannot see a forked part, so each part records its own peak
+    real = costfn._parse_text
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            real(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (tmp_path / f"peak-{os.getpid()}").write_text(str(peak))
+
+    costs = _random_costs(18, 18)
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(18, costs), path)
+    path.write_bytes(_one_line_body(path.read_bytes()))
+    assert path.stat().st_size >= 4 << 20
+    started = _split_reads(monkeypatch, 4)
+    monkeypatch.setattr(costfn, "_parse_text", traced)  # a forked child inherits the patch
+    # 64 KiB chunks, so that the bound is not mostly the 30 KiB a parse takes at any size
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 1 << 16)
+    loaded = load_instance(path)
+    assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
+    assert len(started) == 3
+    _assert_reaped(started)
+    peaks = [int(p.read_text()) for p in tmp_path.glob("peak-*")]
+    assert len(peaks) == 4
+    # a chunk of text, its costs and the next chunk, about 2.4 chunks; a part is 1.2 MiB
+    assert max(peaks) < 4 * costfn._PARSE_BLOCK_BYTES, peaks
+
+
 def test_a_cut_that_finds_no_whitespace_is_dropped(tmp_path, monkeypatch):
     costs = _random_costs(10, 10)
     path = tmp_path / "inst.txt"
@@ -961,6 +993,9 @@ def test_malformed_npz_exits_2(tmp_path, case):
     assert main(["verify", str(path), "--c-tol", "1"]) == 2
 
 
+# each refusal closes the file: numpy left a truncated zip archive open
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_npz_refuses_files_that_are_not_npz_archives(tmp_path):
     path = tmp_path / "inst.npz"
     for data in (b"", b"n_data=1\n0.5 0.25\n", b"PK\x03\x04 truncated",

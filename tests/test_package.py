@@ -1,7 +1,10 @@
 """The package surface: what `import postopt` exports, what production imports and defines,
-and the seeds its entry points refuse; and the pytest settings a failing property needs."""
+the runtime dependencies it declares, and the seeds its entry points refuse; and the pytest
+settings a failing property needs."""
 
 import ast
+import os
+import re
 import subprocess
 import sys
 import types
@@ -98,6 +101,32 @@ def test_package_exports_the_documented_library_surface():
     assert exported() == PUBLIC
     library = (ROOT / "README.md").read_text().partition("## Library")[2]
     assert all(f"`{name}`" in library for name in PUBLIC)
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):  # function bodies too
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    assert imported - sys.stdlib_module_names == {re.match(r"[\w.-]+", d)[0] for d in declared}
+
+
+def test_a_grover_compare_leaves_mpmath_unimported(tmp_path):
+    path = tmp_path / "inst.txt"
+    postopt.save_instance(postopt.generate("uniform_random", {"n_data": 10}, seed=3), path)
+    argv = ["compare", str(path), "--c-tol", "0.01", "--strategy", "grover:auto",
+            "-o", str(tmp_path / "report.jsonl")]
+    script = (f"import sys\nfrom postopt.cli import main\ncode = main({argv!r})\n"
+              "print(code, 'mpmath' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    assert run.stdout.split()[-2:] == ["0", "False"], run.stdout + run.stderr
 
 
 @pytest.mark.parametrize("entry", ["RunConfig", "generate", "random_search", "hill_climb"])
