@@ -157,16 +157,9 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-def _check_table_cap(n_data: int) -> None:
-    """Refuse a cost table past 2**TABLE_N_MAX entries before any state is built from it."""
-    if n_data > TABLE_N_MAX:
-        raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {TABLE_N_MAX}")
-
-
 def _check_capacity(instance: CostInstance, config: RunConfig, encodes: bool = True) -> None:
-    """Refuse a loaded table past the table cap, registers past the qubit cap, or,
-    when the instance is to be encoded, costs the encoder cannot scale."""
-    _check_table_cap(instance.n_data)
+    """Refuse registers past the qubit cap or, when the instance is to be encoded,
+    costs the encoder cannot scale; `load_instance` has refused a table past the cap."""
     RegisterLayout(instance.n_data, config.n_anc)
     if encodes:
         shifted_span(config.encoder, instance)
@@ -198,22 +191,16 @@ def check_configuration(instance: CostInstance, config: RunConfig, key: str,
     tv = sequential_vs_joint_check(instance, config)
 
     checks = {
-        "check_joint_bound": bool(ana.p_joint <= ana.bound + ATOL_BOUND),
-        "check_per_state_bound": bool(ana.max_per_state_product <= 1.0 / ana.n + ATOL_BOUND),
-        "check_product_identity": bool(
-            ana.p_cond is None
-            or abs(ana.p_joint - ana.p_first * ana.p_cond) <= ATOL_IDENTITY
-        ),
-        "check_chain_identity": bool(
-            all(
-                abs(route - chain.direct) <= ATOL_IDENTITY
-                for route in (chain.via_ancilla, chain.via_cost)
-                if route is not None
-            )
-        ),
-        "check_sequential_joint": bool(tv <= NORM_ATOL),
+        "check_joint_bound": ana.p_joint <= ana.bound + ATOL_BOUND,
+        "check_per_state_bound": ana.max_per_state_product <= 1.0 / ana.n + ATOL_BOUND,
+        "check_product_identity": (ana.p_cond is None
+                                   or abs(ana.p_joint - ana.p_first * ana.p_cond) <= ATOL_IDENTITY),
+        "check_chain_identity": all(abs(route - chain.direct) <= ATOL_IDENTITY
+                                    for route in (chain.via_ancilla, chain.via_cost)
+                                    if route is not None),
+        "check_sequential_joint": tv <= NORM_ATOL,
     }
-    record = {
+    return {
         "record": "verify",
         "key": key,
         **instance_desc,
@@ -221,23 +208,16 @@ def check_configuration(instance: CostInstance, config: RunConfig, key: str,
         "encoder": config.encoder.spec(),
         "junk": config.junk.value,
         "c_tol": float(config.c_tol),
-        "n": ana.n,
-        "m": ana.m,
-        "p_first": float(ana.p_first),
-        "p_cond": None if ana.p_cond is None else float(ana.p_cond),
-        "p_joint": float(ana.p_joint),
-        "bound": float(ana.bound),
-        "max_per_state_product": ana.max_per_state_product,
+        **vars(ana),  # the analyses hold Python floats and ints, which json writes as they are
         "per_state_bound": 1.0 / ana.n,
-        "chain_direct": float(chain.direct),
-        "chain_via_ancilla": None if chain.via_ancilla is None else float(chain.via_ancilla),
-        "chain_via_cost": None if chain.via_cost is None else float(chain.via_cost),
-        "p_b_given_a": None if chain.p_b_given_a is None else float(chain.p_b_given_a),
-        "tv_distance": float(tv),
+        "chain_direct": chain.direct,
+        "chain_via_ancilla": chain.via_ancilla,
+        "chain_via_cost": chain.via_cost,
+        "p_b_given_a": chain.p_b_given_a,
+        "tv_distance": tv,
         **checks,
         "ok": all(checks.values()),
     }
-    return record
 
 
 def _quantile(costs: np.ndarray, q: float) -> float:
@@ -376,9 +356,8 @@ def _parse_strategies(text: str) -> list[tuple[str, int | None]]:
 
 
 def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
-                 config: RunConfig, seeds: list[int]) -> dict:
+                 config: RunConfig, m: int, seeds: list[int]) -> dict:
     c_tol, budget = config.c_tol, config.max_preparations
-    m = count_below(instance, c_tol)
     record: dict = {
         "record": "compare",
         "strategy": strategy,
@@ -406,8 +385,8 @@ def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
     if strategy == "postselect":
         ana = exact_analysis(instance, config)
         record["encoder"] = config.encoder.spec()
-        record["p_joint_exact"] = float(ana.p_joint)
-        record["bound"] = float(ana.bound)
+        record["p_joint_exact"] = ana.p_joint
+        record["bound"] = ana.bound
         record["expected_preparations_per_hit"] = (
             1.0 / ana.p_joint if ana.p_joint > 0 else None
         )
@@ -440,20 +419,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _run_config(args, "cospow:1", max_preparations=args.budget)
     instance = load_instance(args.instance, TABLE_N_MAX)
     _check_capacity(instance, config, encodes=postselects)
-    if count_below(instance, args.c_tol) < 1:
+    m = count_below(instance, args.c_tol)
+    if m < 1:
         raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")
 
     master = np.random.default_rng(args.seed)
     records = []
     for strategy, iterations in strategies:
         seeds = [int(s) for s in master.integers(2**63, size=args.repeats)]
-        records.append(_compare_one(strategy, iterations, instance, config, seeds))
+        records.append(_compare_one(strategy, iterations, instance, config, m, seeds))
 
     meta = _meta("compare", args.seed)
     _write_report(args.out, meta, records)
 
-    print(f"instance: N={instance.size}, M={records[0]['m']}, c_tol={args.c_tol:g} "
-          f"(random-search mean trials N/M = {instance.size / records[0]['m']:.4g})")
+    print(f"instance: N={instance.size}, M={m}, c_tol={args.c_tol:g} "
+          f"(random-search mean trials N/M = {instance.size / m:.4g})")
     header = f"{'strategy':<16} {'hit rate':>9} {'mean trials-to-hit':>19} {'notes'}"
     print(header)
     print("-" * 72)
@@ -501,8 +481,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
     n_data = check_params(kind, params)[0]  # before the table cap, so before any table is built
-
-    _check_table_cap(n_data)
+    if n_data > TABLE_N_MAX:
+        raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {TABLE_N_MAX}")
     instance = generate(kind, params, args.seed)
     save_instance(instance, args.out)
     k_min, c_min = min_cost(instance)

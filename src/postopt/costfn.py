@@ -184,6 +184,7 @@ def _handed_over(n_data: int, costs: np.ndarray, provenance: dict) -> CostInstan
 
 
 _PARSE_BLOCK_BYTES = 1 << 20  # bytes of text read per chunk, parsed by one np.fromstring call
+_TOKEN_MAX = 1 << 16  # longest text header line, and most of a token held from one read to the next
 BLOCK = 8192  # costs formatted per `%` call; a multiple of the 8 per line
 # Fewest costs, and fewest body bytes, in a part of a split text write or read: on a
 # 2-core host, a smaller part took longer to fork and collect than it saved
@@ -330,23 +331,29 @@ def load_instance(path: str | Path, n_data_max: int | None = None) -> CostInstan
     """Read an instance file: `.npz` by its suffix, else text.
 
     The text form is an `n_data=<ASCII digits>` line, then the costs in any line
-    layout.  A header past `n_data_max` is refused before the body is read.  The body
-    is parsed in chunks of about 1 MiB, never a Python object per cost; a regular
-    file's body of 2 * _READ_PART_MIN bytes or more in parts cut at whitespace, one
-    per usable CPU, by `_forked_parts`, with the costs and errors of one process.  A
-    body past 2**n_data costs is refused at the first chunk, or part, that passes it.
+    layout.  A header past `n_data_max`, in either form, is refused before any cost
+    is read.  The body is parsed in chunks of about 1 MiB, never a Python object per
+    cost; a regular file's body of 2 * _READ_PART_MIN bytes or more in parts cut at
+    whitespace, one per usable CPU, by `_forked_parts`, with the costs and errors of
+    one process.  A body past 2**n_data costs is refused at the first chunk, or part,
+    that passes it.  A header line past _TOKEN_MAX bytes is refused, and so is a token
+    once more than _TOKEN_MAX bytes of it are held from one read to the next; no valid
+    one comes near that, and no line layout makes a load hold more than a few chunks.
     """
     if Path(path).suffix == ".npz":
-        return _load_npz(path)
+        return _load_npz(path, n_data_max)
     with open(path, "rb") as f:
         head = f.readline(_PARSE_BLOCK_BYTES)  # a lone-\r file is one line
         while head.isspace():  # blank lines before the header
             head = f.readline(_PARSE_BLOCK_BYTES)
         head = head.lstrip()
-        while b"\n" not in head and b"\r" not in head and (chunk := f.read(_PARSE_BLOCK_BYTES)):
+        while (b"\n" not in head and b"\r" not in head and len(head) <= _TOKEN_MAX
+               and (chunk := f.read(_PARSE_BLOCK_BYTES))):
             head += chunk  # the header line runs on past the first read
         # a lone \r also ends the header line, as a universal-newline read splits it
         header = head.partition(b"\n")[0].partition(b"\r")[0]
+        if len(header) > _TOKEN_MAX:
+            raise ConfigurationError(f"{path}: header line runs past {_TOKEN_MAX} bytes")
         digits = header.removeprefix(b"n_data=").rstrip(b" \t")
         # ASCII digits only: int() would also take a sign, underscores, inner spaces
         # and non-ASCII digits
@@ -356,8 +363,7 @@ def load_instance(path: str | Path, n_data_max: int | None = None) -> CostInstan
             n_data = int(digits)
         except ValueError as exc:  # int() raises ValueError past 4300 digits
             raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
-        if n_data_max is not None and n_data > n_data_max:
-            raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {n_data_max}")
+        _check_cap(n_data, n_data_max)
         fd, pending = f.fileno(), head[len(header):]
         if stat.S_ISREG(os.fstat(fd).st_mode):  # read again, a byte range per part
             parts, pending = _text_ranges(fd, f.tell() - len(pending), os.fstat(fd).st_size), b""
@@ -401,12 +407,15 @@ def _text_ranges(fd: int, start: int, stop: int) -> list[tuple[int, int]]:
 
 def _parse_text(chunks, pending: bytes, path, n_data: int, emit) -> None:
     """Parse `pending`, then `chunks`, and emit the costs a chunk at a time; refuse a bad
-    token, and more than 2**n_data costs at the first chunk past them."""
+    token, one of which more than _TOKEN_MAX bytes are held from one chunk to the next,
+    and more than 2**n_data costs at the first chunk past them."""
     # no file holds 2**62 costs, so a huge header needs no bound built from it
     most, count = 1 << min(n_data, 62), 0
     # each chunk is parsed through its last whitespace byte, as the token after it may
     # run on; at the end of the text, a blank chunk flushes that token
     while chunk := next(chunks, b"") or pending and b" ":
+        if len(pending) > _TOKEN_MAX:  # the start of a token, held from the reads before
+            raise ConfigurationError(f"{path}: a token runs past {_TOKEN_MAX} bytes")
         cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
         if not cut:
             pending += chunk
@@ -429,20 +438,30 @@ def _too_many(path, n_data: int) -> ConfigurationError:
     return ConfigurationError(f"{path}: more than 2**{n_data} costs under 'n_data={n_data}'")
 
 
-def _load_npz(path: str | Path) -> CostInstance:
-    """Read the `.npz` form: float64 `costs`, integer `n_data`, JSON `provenance`."""
+def _check_cap(n_data: int, n_data_max: int | None) -> None:
+    if n_data_max is not None and n_data > n_data_max:
+        raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {n_data_max}")
+
+
+def _load_npz(path: str | Path, n_data_max: int | None) -> CostInstance:
+    """Read the `.npz` form: integer `n_data`, then float64 `costs` unless `n_data` is
+    past `n_data_max`, and JSON `provenance`."""
     try:
         # opened here, so it is closed whatever np.load does: it left a file that starts
         # like a zip archive but is none open when it raised
         with open(path, "rb") as file, np.load(file, allow_pickle=False) as npz:
-            costs, n_data, provenance = npz["costs"], npz["n_data"], npz["provenance"]
+            n_data = npz["n_data"]  # a member is read only when it is looked up
+            if n_data.shape != () or n_data.dtype.kind not in "iu":
+                raise TypeError(f"n_data must be an integer scalar, got {n_data!r}")
+            _check_cap(int(n_data), n_data_max)
+            costs, provenance = npz["costs"], npz["provenance"]
         if costs.dtype != np.float64 or costs.ndim != 1:
             raise TypeError(f"costs must be 1-D float64, got {costs.dtype} {costs.shape}")
-        if n_data.shape != () or n_data.dtype.kind not in "iu":
-            raise TypeError(f"n_data must be an integer scalar, got {n_data!r}")
         if provenance.shape != () or provenance.dtype.kind != "U":
             raise TypeError(f"provenance must be a JSON string, got {provenance!r}")
         provenance = dict(json.loads(provenance.item()))
+    except ConfigurationError:  # the cap's refusal, a ValueError too, as the text form words it
+        raise
     # np.load raises ValueError on pickled content; a .npy file has no __enter__; numpy
     # allocates the shape a member's header declares before it reads the data
     except (KeyError, TypeError, ValueError, AttributeError, EOFError, MemoryError,

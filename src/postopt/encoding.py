@@ -210,10 +210,9 @@ def encode(
     """Entangle the ancilla with the cost of each data state.
 
     `state` must be the uniform superposition with ancilla 0...0 over the
-    same data register as `instance`: the object
-    `uniform_superposition(state.layout)` returns passes at once; any other
-    state's amplitudes must match that state's within NORM_ATOL elementwise
-    (`np.allclose`), or else ConfigurationError is raised.  Output amplitude
+    same data register as `instance`: the object that
+    `uniform_superposition(state.layout)` returns at the call.  Any other
+    state, however close, raises ConfigurationError.  Output amplitude
     on |k, 0...0> is a_k/sqrt(N); the failure weight goes to nonzero ancilla
     outcomes per the junk policy.
 
@@ -235,8 +234,7 @@ def encode(
         raise ConfigurationError(
             f"state has n_data={layout.n_data} but instance has n_data={instance.n_data}"
         )
-    expected = uniform_superposition(layout)
-    if state is not expected and not np.allclose(state._grid, expected._grid, atol=NORM_ATOL):
+    if state is not uniform_superposition(layout):
         raise ConfigurationError("encode expects the uniform superposition with ancilla 0...0")
 
     if junk == JunkPolicy.CONCENTRATED:

@@ -389,6 +389,24 @@ def test_compare_records_reproducible(tmp_path):
     assert read_records(a)[1][1]["encoder"] == "cospow:1"  # the default postselect encoder
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--sweep", "40", "--n", "8", "--seed", "3"],
+     "be42e73046cf182ae7f33aef2980ee4d7ba1cc99417eece93e52860ce032a823"),
+    (["compare", "{inst}", "--c-tol", "0.05", "--strategy", "random,hillclimb,grover:auto,postselect",
+      "--encoder", "cospow:2", "--junk", "spread", "--n-anc", "2", "--seed", "7", "--repeats", "4",
+      "--budget", "500"],
+     "b8223ecf43c8e7298623b2659b73e76c91743809b8908f486ebc6d1f943ae5b6"),
+], ids=["verify_sweep", "compare"])
+def test_report_records_are_pinned_to_the_bit(tmp_path, argv, digest):
+    # every value of every record, and its JSON form: the digest of the report after its
+    # meta record, whose timestamp changes
+    inst = tmp_path / "inst.txt"
+    save_instance(generate("uniform_random", {"n_data": 8}, seed=2), inst)
+    report = tmp_path / "report.jsonl"
+    assert main([arg.format(inst=inst) for arg in argv] + ["-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes().partition(b"\n")[2]).hexdigest() == digest
+
+
 def test_compare_usage_errors(tmp_path):
     demo = write_demo(tmp_path)
     assert main(["compare", str(demo), "--c-tol", "3", "--strategy", ","]) == 2
@@ -488,6 +506,9 @@ MALFORMED_ARGV = {
     # run with TABLE_N_MAX patched to 2, below the n=3 demo file
     "loaded_file_over_cap_verify": ["verify", "{demo}", "--c-tol", "3"],
     "loaded_file_over_cap_compare": ["compare", "{demo}", "--c-tol", "3", "--strategy", "random"],
+    "loaded_file_over_cap_npz_verify": ["verify", "{demo_npz}", "--c-tol", "3"],
+    "loaded_file_over_cap_npz_compare": ["compare", "{demo_npz}", "--c-tol", "3", "--strategy",
+                                         "random"],
     # numpy's generators raised ValueError on a negative seed, a traceback with exit 1
     "generate_seed_negative": ["generate", "--kind", "uniform_random", "--n", "3", "--seed", "-1",
                                "-o", "{out}"],
@@ -544,7 +565,9 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
                "huge_json": b'{"n_data": 1000000000, "costs": [0.5, 0.25]}',
                "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n",
                "wide_text": b"n_data=1\n-1e308 1e308\n"}
-    paths = {"demo": write_demo(tmp_path), "out": tmp_path / "out.txt"}
+    paths = {"demo": write_demo(tmp_path), "out": tmp_path / "out.txt",
+             "demo_npz": tmp_path / "demo.npz"}
+    save_instance(load_instance(paths["demo"]), paths["demo_npz"])
     for name, text in headers.items():
         paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"
         paths[name].write_bytes(text)

@@ -725,6 +725,77 @@ def test_a_header_past_the_table_cap_is_refused_before_the_body(tmp_path, monkey
     assert started == []
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_an_npz_past_the_table_cap_is_refused_before_its_costs(tmp_path, capsys, command):
+    # its 32 MiB of costs used to be read whole before the cap refused them
+    path = tmp_path / "inst.npz"
+    np.savez(path, costs=np.zeros(1 << 22), n_data=np.int64(22), provenance="{}")
+    argv = [command, str(path), "--c-tol", "1"] + (["--strategy", "random"] * (command == "compare"))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text form's words: the refusal is no malformed archive
+    assert capsys.readouterr().err == f"postopt {command}: n_data=22 exceeds the table cap of 20\n"
+    assert peak < 1 << 20
+
+
+def test_a_one_line_file_is_refused_at_the_header_bound(tmp_path):
+    # the header line used to be read on to its end, here the end of an 8 MiB file
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"n_data=2 " + b"0.5 " * (2 << 20))
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="header line runs past 65536 bytes"):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * costfn._PARSE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 20])
+def test_a_header_line_may_run_to_the_bound_and_no_further(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", block)
+    path = tmp_path / "inst.txt"
+    line = b"n_data=1".ljust(costfn._TOKEN_MAX)
+    path.write_bytes(line + b"\n0.5 0.25\n")
+    assert load_instance(path).n_data == 1
+    path.write_bytes(line + b" \n0.5 0.25\n")
+    with pytest.raises(ConfigurationError, match="header line runs past"):
+        load_instance(path)
+
+
+def test_a_token_past_the_bound_is_refused_unjoined(tmp_path):
+    # the token used to be joined whole, then parsed to inf and refused as not finite
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"n_data=1\n0.5 " + b"1" * (8 << 20) + b"\n")
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="a token runs past 65536 bytes"):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the token held from the first chunk, and the second chunk
+    assert peak < 3 * costfn._PARSE_BLOCK_BYTES
+
+
+def test_a_token_held_across_reads_may_reach_the_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 1)  # every token is held across reads
+    monkeypatch.setattr(costfn, "_TOKEN_MAX", 64)
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"n_data=1\n" + b"0.5".rjust(64, b"0") + b" 0.25\n")
+    assert load_instance(path).costs.tolist() == [0.5, 0.25]
+    path.write_bytes(b"n_data=1\n" + b"0.5".rjust(65, b"0") + b" 0.25\n")
+    with pytest.raises(ConfigurationError, match="a token runs past 64 bytes"):
+        load_instance(path)
+
+
 @pytest.mark.parametrize("body", [
     "0.5 0.25 1.0",            # one cost too few
     "0.5 0.25 1.0 2.0 3.0",    # one cost too many
@@ -889,6 +960,24 @@ def test_a_bad_token_in_the_last_part_exits_2_as_in_one_process(tmp_path, monkey
     assert capsys.readouterr().err == split
     assert len(split.splitlines()) == 1 and "malformed instance file" in split
     assert len(started) == cpus - 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5, 8])
+def test_a_long_token_in_the_last_part_exits_2_as_in_one_process(tmp_path, monkeypatch, capsys,
+                                                                cpus):
+    path = tmp_path / "inst.txt"
+    save_instance(CostInstance(10, _random_costs(10, cpus)), path)
+    path.write_bytes(path.read_bytes() + b"1" * (3 << 12) + b"\n")
+    started = _split_reads(monkeypatch, cpus)
+    monkeypatch.setattr(costfn, "_TOKEN_MAX", 1 << 12)  # one 4 KiB chunk
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    assert started
+    _assert_reaped(started)
+    split = capsys.readouterr().err
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+    assert capsys.readouterr().err == split
+    assert len(split.splitlines()) == 1 and "a token runs past 4096 bytes" in split
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 5, 8])

@@ -280,14 +280,13 @@ def test_encode_checks_its_input_with_the_uniform_state_cached():
         encode(StateVector(layout, junk_only.reshape(-1)), inst, AmplitudeEncoder.identity())
     assert uniform_superposition(layout) is uniform  # the refusal ran against the cached state
 
-    # within NORM_ATOL but not equal: accepted by np.allclose
+    # within NORM_ATOL, and equal: refused all the same, as only the shared state passes
     amps = uniform.amplitudes.copy()
     amps[0] += 1e-13
-    perturbed = StateVector(layout, amps)
-    assert not np.array_equal(perturbed.amplitudes, uniform.amplitudes)
-    enc = AmplitudeEncoder.cosine_power(2)
-    out = encode(perturbed, inst, enc, JunkPolicy.SPREAD)
-    assert np.array_equal(born_grid(out), born_grid(encode(uniform, inst, enc, JunkPolicy.SPREAD)))
+    for other in (StateVector(layout, amps), StateVector(layout, uniform.amplitudes.copy())):
+        with pytest.raises(ConfigurationError):
+            encode(other, inst, AmplitudeEncoder.cosine_power(2), JunkPolicy.SPREAD)
+    assert uniform_superposition(layout) is uniform
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
