@@ -45,8 +45,8 @@ from .baselines import (
     optimal_iterations,
     random_search,
 )
-from .costfn import (CENTERS_MAX, CostInstance, check_params, count_below, generate, load_instance,
-                     min_cost, save_instance)
+from .costfn import (CENTERS_MAX, CostInstance, check_cap, check_params, count_below, generate,
+                     load_instance, min_cost, save_instance)
 from .encoding import AmplitudeEncoder, JunkPolicy, shifted_span
 from .errors import ConfigurationError, PostoptError
 from .statevec import NORM_ATOL, RegisterLayout
@@ -480,9 +480,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         params = {"n_data": args.n, "low": args.low, "high": args.high}
     else:
         params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
-    n_data = check_params(kind, params)[0]  # before the table cap, so before any table is built
-    if n_data > TABLE_N_MAX:
-        raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {TABLE_N_MAX}")
+    check_cap(check_params(kind, params)[0], TABLE_N_MAX)  # before any table is built
     instance = generate(kind, params, args.seed)
     save_instance(instance, args.out)
     k_min, c_min = min_cost(instance)

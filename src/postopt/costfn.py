@@ -334,11 +334,12 @@ def load_instance(path: str | Path, n_data_max: int | None = None) -> CostInstan
     layout.  A header past `n_data_max`, in either form, is refused before any cost
     is read.  The body is parsed in chunks of about 1 MiB, never a Python object per
     cost; a regular file's body of 2 * _READ_PART_MIN bytes or more in parts cut at
-    whitespace, one per usable CPU, by `_forked_parts`, with the costs and errors of
-    one process.  A body past 2**n_data costs is refused at the first chunk, or part,
-    that passes it.  A header line past _TOKEN_MAX bytes is refused, and so is a token
-    once more than _TOKEN_MAX bytes of it are held from one read to the next; no valid
-    one comes near that, and no line layout makes a load hold more than a few chunks.
+    whitespace, one per usable CPU, by `_forked_parts`.  A body past 2**n_data costs is
+    refused at the first chunk, or part, that passes it.  A header line past _TOKEN_MAX
+    bytes is refused, and so is a token once more than _TOKEN_MAX bytes of it are held
+    from one read to the next, so a load holds a few chunks in any line layout.  The
+    parts give the costs and errors of one process but for a token past that bound and
+    within one read, which loads or not by where the reads fall; no valid one is as long.
     """
     if Path(path).suffix == ".npz":
         return _load_npz(path, n_data_max)
@@ -363,19 +364,20 @@ def load_instance(path: str | Path, n_data_max: int | None = None) -> CostInstan
             n_data = int(digits)
         except ValueError as exc:  # int() raises ValueError past 4300 digits
             raise ConfigurationError(f"{path}: malformed instance file ({exc})") from exc
-        _check_cap(n_data, n_data_max)
-        fd, pending = f.fileno(), head[len(header):]
+        check_cap(n_data, n_data_max)
+        fd, rest = f.fileno(), head[len(header):]  # the text read with the header line
         if stat.S_ISREG(os.fstat(fd).st_mode):  # read again, a byte range per part
-            parts, pending = _text_ranges(fd, f.tell() - len(pending), os.fstat(fd).st_size), b""
-        else:  # a FIFO or a terminal: read on, in order, as one part
+            parts = _text_ranges(fd, f.tell() - len(rest), os.fstat(fd).st_size)
+        else:  # a FIFO or a terminal: read on, in order, as one part, `rest` its first chunk
             parts = [None]
 
         def parse(part: tuple[int, int] | None, emit) -> None:
             # os.pread leaves the file offset, which a child shares with its parent, alone
-            chunks = (iter(lambda: f.read(_PARSE_BLOCK_BYTES), b"") if part is None else
+            chunks = (itertools.chain([rest], iter(lambda: f.read(_PARSE_BLOCK_BYTES), b""))
+                      if part is None else
                       (os.pread(fd, min(_PARSE_BLOCK_BYTES, part[1] - at), at)
                        for at in range(*part, _PARSE_BLOCK_BYTES)))
-            _parse_text(chunks, pending, path, n_data, emit)
+            _parse_text(chunks, path, n_data, emit)
 
         # every part's costs go to a file, then into the one table: this process's arrays,
         # held until the table was built, left up to 4 MiB of freed heap resident
@@ -405,16 +407,16 @@ def _text_ranges(fd: int, start: int, stop: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:])) or [(start, stop)]
 
 
-def _parse_text(chunks, pending: bytes, path, n_data: int, emit) -> None:
-    """Parse `pending`, then `chunks`, and emit the costs a chunk at a time; refuse a bad
-    token, one of which more than _TOKEN_MAX bytes are held from one chunk to the next,
-    and more than 2**n_data costs at the first chunk past them."""
+def _parse_text(chunks, path, n_data: int, emit) -> None:
+    """Parse the text `chunks` and emit the costs a chunk at a time; refuse a bad token,
+    one of which more than _TOKEN_MAX bytes are held from one chunk to the next, and
+    more than 2**n_data costs at the first chunk past them."""
     # no file holds 2**62 costs, so a huge header needs no bound built from it
-    most, count = 1 << min(n_data, 62), 0
+    most, count, pending = 1 << min(n_data, 62), 0, b""
     # each chunk is parsed through its last whitespace byte, as the token after it may
     # run on; at the end of the text, a blank chunk flushes that token
-    while chunk := next(chunks, b"") or pending and b" ":
-        if len(pending) > _TOKEN_MAX:  # the start of a token, held from the reads before
+    for chunk in itertools.chain(chunks, [b" "]):
+        if len(pending) > _TOKEN_MAX:  # the start of one token, held from the reads before
             raise ConfigurationError(f"{path}: a token runs past {_TOKEN_MAX} bytes")
         cut = max(map(chunk.rfind, b" \t\n\r\v\f")) + 1  # what fromstring skips
         if not cut:
@@ -438,7 +440,7 @@ def _too_many(path, n_data: int) -> ConfigurationError:
     return ConfigurationError(f"{path}: more than 2**{n_data} costs under 'n_data={n_data}'")
 
 
-def _check_cap(n_data: int, n_data_max: int | None) -> None:
+def check_cap(n_data: int, n_data_max: int | None) -> None:
     if n_data_max is not None and n_data > n_data_max:
         raise ConfigurationError(f"n_data={n_data} exceeds the table cap of {n_data_max}")
 
@@ -453,7 +455,7 @@ def _load_npz(path: str | Path, n_data_max: int | None) -> CostInstance:
             n_data = npz["n_data"]  # a member is read only when it is looked up
             if n_data.shape != () or n_data.dtype.kind not in "iu":
                 raise TypeError(f"n_data must be an integer scalar, got {n_data!r}")
-            _check_cap(int(n_data), n_data_max)
+            check_cap(int(n_data), n_data_max)
             costs, provenance = npz["costs"], npz["provenance"]
         if costs.dtype != np.float64 or costs.ndim != 1:
             raise TypeError(f"costs must be 1-D float64, got {costs.dtype} {costs.shape}")

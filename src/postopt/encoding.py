@@ -212,7 +212,9 @@ def encode(
     `state` must be the uniform superposition with ancilla 0...0 over the
     same data register as `instance`: the object that
     `uniform_superposition(state.layout)` returns at the call.  Any other
-    state, however close, raises ConfigurationError.  Output amplitude
+    state, however close, raises ConfigurationError, and so does one taken
+    before another layout's state was built, as that function keeps only the
+    last.  Output amplitude
     on |k, 0...0> is a_k/sqrt(N); the failure weight goes to nonzero ancilla
     outcomes per the junk policy.
 

@@ -796,6 +796,21 @@ def test_a_token_held_across_reads_may_reach_the_bound(tmp_path, monkeypatch):
         load_instance(path)
 
 
+def test_where_the_reads_fall_decides_a_token_between_the_bound_and_a_read(tmp_path,
+                                                                           monkeypatch):
+    # only the part of a token held from one read to the next is measured: a 100-byte
+    # token past a 64-byte bound loads inside one 256-byte read, and is refused when 76
+    # bytes of it are held from the first read to the second
+    monkeypatch.setattr(costfn, "_PARSE_BLOCK_BYTES", 256)
+    monkeypatch.setattr(costfn, "_TOKEN_MAX", 64)
+    path, token = tmp_path / "inst.txt", b"0.5".rjust(100, b"0")
+    path.write_bytes(b"n_data=1\n" + token + b" 0.25\n")
+    assert load_instance(path).costs.tolist() == [0.5, 0.25]
+    path.write_bytes(b"n_data=1\n" + b" " * 180 + token + b" 0.25\n")
+    with pytest.raises(ConfigurationError, match="a token runs past 64 bytes"):
+        load_instance(path)
+
+
 @pytest.mark.parametrize("body", [
     "0.5 0.25 1.0",            # one cost too few
     "0.5 0.25 1.0 2.0 3.0",    # one cost too many
@@ -1041,6 +1056,24 @@ def test_a_fifo_is_read_in_one_part(tmp_path, monkeypatch):
     assert writer.returncode == 0
     assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
     assert started == []
+
+
+def test_a_lone_cr_fifo_is_read_with_its_header_line(tmp_path):
+    # a lone-\r file is one line, so the header's 1 MiB read takes costs with it: here
+    # 2**14 of them, past the token bound, which measures only a held token
+    costs = _random_costs(14, 5)
+    source, fifo = tmp_path / "inst.txt", tmp_path / "fifo.txt"
+    save_instance(CostInstance(14, costs), source)
+    source.write_bytes(source.read_bytes().replace(b"\n", b"\r"))
+    assert source.stat().st_size > costfn._TOKEN_MAX
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", 'cat "$1" > "$2"', "sh", str(source), str(fifo)])
+    try:
+        loaded = load_instance(fifo)
+    finally:
+        writer.wait(timeout=30)
+    assert writer.returncode == 0
+    assert np.array_equal(loaded.costs.view(np.int64), costs.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
