@@ -157,12 +157,11 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-def _check_capacity(instance: CostInstance, config: RunConfig, encodes: bool = True) -> None:
-    """Refuse registers past the qubit cap or, when the instance is to be encoded,
-    costs the encoder cannot scale; `load_instance` has refused a table past the cap."""
+def _check_capacity(instance: CostInstance, config: RunConfig) -> None:
+    """Refuse registers past the qubit cap or costs the encoder cannot scale;
+    `load_instance` has refused a table past the cap."""
     RegisterLayout(instance.n_data, config.n_anc)
-    if encodes:
-        shifted_span(config.encoder, instance)
+    shifted_span(config.encoder, instance)
 
 
 def _refuse_unread(args: argparse.Namespace, flags: tuple[str, ...], context: str) -> None:
@@ -418,7 +417,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--budget must lie in [1, {BUDGET_MAX}]")
     config = _run_config(args, "cospow:1", max_preparations=args.budget)
     instance = load_instance(args.instance, TABLE_N_MAX)
-    _check_capacity(instance, config, encodes=postselects)
+    if postselects:  # nothing else encodes, and --n-anc was refused above
+        _check_capacity(instance, config)
     m = count_below(instance, args.c_tol)
     if m < 1:
         raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")

@@ -455,18 +455,27 @@ def _load_npz(path: str | Path, n_data_max: int | None) -> CostInstance:
             n_data = npz["n_data"]  # a member is read only when it is looked up
             if n_data.shape != () or n_data.dtype.kind not in "iu":
                 raise TypeError(f"n_data must be an integer scalar, got {n_data!r}")
-            check_cap(int(n_data), n_data_max)
+            n_data = int(n_data)
+            check_cap(n_data, n_data_max)
+            # the npy header alone: over 2**n_data costs are refused unread, fewer by CostInstance
+            with npz.zip.open("costs.npy") as member:
+                version = np.lib.format.read_magic(member)
+                shape = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                         else np.lib.format.read_array_header_2_0)(member)[0]
+            if math.prod(shape) > 1 << min(max(n_data, 1), 62):  # CostInstance refuses n_data < 1
+                raise _too_many(path, n_data)
             costs, provenance = npz["costs"], npz["provenance"]
         if costs.dtype != np.float64 or costs.ndim != 1:
             raise TypeError(f"costs must be 1-D float64, got {costs.dtype} {costs.shape}")
         if provenance.shape != () or provenance.dtype.kind != "U":
             raise TypeError(f"provenance must be a JSON string, got {provenance!r}")
         provenance = dict(json.loads(provenance.item()))
-    except ConfigurationError:  # the cap's refusal, a ValueError too, as the text form words it
+    except ConfigurationError:  # the cap and count refusals, ValueErrors too, in the text's words
         raise
     # np.load raises ValueError on pickled content; a .npy file has no __enter__; numpy
-    # allocates the shape a member's header declares before it reads the data
+    # allocates the shape a member's header declares before it reads the data, and a
+    # caller with no cap may pass n_data=40 over 2**40 declared costs
     except (KeyError, TypeError, ValueError, AttributeError, EOFError, MemoryError,
             zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"{path}: malformed instance .npz ({exc})") from exc
-    return _handed_over(int(n_data), costs, provenance)
+    return _handed_over(n_data, costs, provenance)

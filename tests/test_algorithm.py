@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,8 @@ from postopt.algorithm import (
     run_repeat_until_success,
     sequential_vs_joint_check,
 )
-from postopt.costfn import generate
+from postopt.cli import check_configuration
+from postopt.costfn import CostInstance, generate
 from postopt.encoding import AmplitudeEncoder, JunkPolicy, instance_amplitudes
 from postopt.errors import ConfigurationError
 from postopt.statevec import (
@@ -546,3 +547,68 @@ def test_encoded_state_layout():
     inst = demo()
     state = encoded_state(inst, RunConfig(c_tol=3.0, encoder=IDENTITY, n_anc=2))
     assert state.layout.n_data == 3 and state.layout.n_anc == 2
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: transformations of the instance that must carry over
+
+def record_of(inst, config):
+    return check_configuration(inst, config, "k", {})
+
+
+def probability_fields(record):
+    """Every float field of a verify record but `c_tol`, a None kept as None."""
+    return {name: value for name, value in record.items()
+            if name != "c_tol" and (value is None or type(value) is float)}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(bound_cases(), st.sampled_from(list(JunkPolicy)), st.integers(0, 2**32 - 1))
+def test_permuting_the_data_permutes_accept_and_keeps_the_probabilities(case, junk, seed):
+    inst, c_tol, encoder, n_anc = case
+    config = RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc)
+    perm = np.random.default_rng(seed).permutation(inst.size)
+    shuffled = CostInstance(inst.n_data, inst.costs[perm])
+    accept = encoded_state(inst, config).accept[perm]
+    assert encoded_state(shuffled, config).accept.tobytes() == accept.tobytes()
+    before, after = exact_analysis(inst, config), exact_analysis(shuffled, config)
+    assert before.m == after.m
+    assert abs(before.p_first - after.p_first) <= 1e-12
+    assert abs(before.p_joint - after.p_joint) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(bound_cases(), st.sampled_from(list(JunkPolicy)), st.floats(1e-6, 1e6),
+       st.one_of(st.just(AmplitudeEncoder.linear()),
+                 st.floats(1e-3, 64.0).map(AmplitudeEncoder.cosine_power)))
+def test_scaling_costs_and_c_tol_keeps_every_probability(case, junk, c, encoder):
+    # cospow and linear read the costs only through (cost - low) / c_max
+    inst, c_tol, _, n_anc = case
+    before = record_of(inst, RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc))
+    after = record_of(CostInstance(inst.n_data, inst.costs * c),
+                      RunConfig(c_tol=c_tol * c, encoder=encoder, junk=junk, n_anc=n_anc))
+    assume(before["m"] == after["m"])
+    for name, value in probability_fields(before).items():
+        other = after[name]
+        assert (value is None) == (other is None), name
+        assert value is None or abs(value - other) <= 1e-12, name
+
+
+HALF_INTEGERS = st.integers(-20, 20).map(lambda k: k / 2)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), HALF_INTEGERS, HALF_INTEGERS,
+       st.integers(-10**6, 10**6), st.integers(1, 3), st.sampled_from(list(JunkPolicy)))
+def test_shifting_integer_costs_and_thresholds_keeps_every_oracle_field(n_data, seed, c_tol, tau,
+                                                                        shift, n_anc, junk):
+    # every value here is exact in float64, so the oracle sees the same comparisons
+    costs = np.random.default_rng(seed).integers(-8, 9, size=1 << n_data).astype(float)
+    records = []
+    for k in (0, shift):
+        record = record_of(CostInstance(n_data, costs + k),
+                           RunConfig(c_tol=c_tol + k, encoder=AmplitudeEncoder.oracle_threshold(
+                               tau + k), junk=junk, n_anc=n_anc))
+        del record["c_tol"], record["encoder"]
+        records.append(record)
+    assert records[0] == records[1]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from postopt.algorithm import BLOCK, RunConfig
 from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, SWEEP_QUANTILES, TABLE_N_MAX,
-                         _quantile, check_configuration, main, sweep_configurations)
+                         _quantile, build_parser, check_configuration, main, sweep_configurations)
 from postopt.costfn import (CENTERS_MAX, CostInstance, generate, hamming_distances,
                             load_instance, save_instance)
 from postopt.encoding import AmplitudeEncoder, JunkPolicy
@@ -227,6 +228,16 @@ def test_one_verify_record_builds_one_encoding(monkeypatch):
     config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2), n_anc=2)
     assert check_configuration(inst, config, "k", {})["ok"]
     assert len(calls) == 1
+
+
+def test_a_sweep_builds_each_layouts_uniform_state_once():
+    # a one-entry cache rebuilt the state whenever consecutive records changed layout
+    swept = sweep_configurations(1000, 3, 12)
+    layouts = {(inst.n_data, config.n_anc) for _, inst, config, _ in swept}
+    uniform_superposition.cache_clear()
+    for key, inst, config, desc in swept:
+        check_configuration(inst, config, key, desc)
+    assert uniform_superposition.cache_info().misses == len(layouts) == 36
 
 
 def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkeypatch):
@@ -573,3 +584,98 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
         paths[name].write_bytes(text)
     argv = [arg.format(**paths) for arg in MALFORMED_ARGV[case]]
     assert main(argv) == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract, over argv built from the parser's own actions
+
+SUBCOMMANDS = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices
+BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "9" * 5000, "", "x"]
+INT_MAX = {"n": 4, "sweep": 3, "repeats": 4, "budget": 200, "n_anc": 3, "centers": 4, "seed": 9}
+TEXT_VALUES = {
+    "encoder": ["identity", "oracle:3", "cospow:0.5", "cospow:2", "linear", "oracle", "cospow:-2"],
+    "strategy": ["random", "hillclimb", "grover", "grover:auto", "grover:2", "postselect",
+                 "random,hillclimb,grover:auto,postselect", "postselect,grover:0"],
+    "costs": ["3,1,4,1", "-1.5,2", "1,2,3", "0.5"],
+    "weights": ["1,2,3", "0.5,4", "2"],
+}
+PATHS = {"out": ["{tmp}/report.txt", "{tmp}/out.npz", "{tmp}", "{tmp}/missing/out.txt"],
+         "instance": ["{inst}"] * 6 + ["{tmp}/missing.txt", "{tmp}"]}
+
+
+def action_values(action):
+    """Small valid values for one parser action."""
+    if action.dest in PATHS:
+        return st.sampled_from(PATHS[action.dest])
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(1, INT_MAX[action.dest]).map(str)
+    if action.type is float:
+        return st.floats(-2.0, 10.0).map(repr)
+    return st.sampled_from(TEXT_VALUES[action.dest])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand: each action set or left out, options as --flag=value.
+
+    Each argv draws how many of its optional actions it sets and whether some
+    values are malformed, so that clean runs and usage errors both come often.
+    """
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    parser = SUBCOMMANDS[command]
+    set_share, bad_share = draw(st.sampled_from([0, 2, 5, 9])), draw(st.sampled_from([0, 0, 2]))
+    required = {action for action in parser._actions
+                if action.required or not action.option_strings}
+    unset = set()  # one action of each exclusive group, or now and then any of them
+    for group in parser._mutually_exclusive_groups:
+        chosen = draw(st.sampled_from(group._group_actions))
+        unset.update(action for action in group._group_actions if action is not chosen)
+        if group.required:
+            required = (required - unset) | {chosen}
+    argv, positionals = [command], []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action in unset and draw(st.integers(0, 9)):
+            continue
+        if draw(st.integers(0, 19)) >= (19 if action in required else 2 * set_share):
+            continue
+        if draw(st.integers(0, 9)) >= bad_share:
+            value = draw(action_values(action))
+        else:  # a malformed path stays under tmp too, so no report lands in the working directory
+            value = ("{tmp}/" if action.dest in PATHS else "") + draw(st.sampled_from(BAD_VALUES))
+        if action.option_strings:
+            argv.append(f"{action.option_strings[-1]}={value}")
+        else:
+            positionals.append(value)
+    return argv + positionals
+
+
+# how an instance file is damaged: kept, one byte flipped, cut short or grown
+FILE_DAMAGE = st.tuples(st.sampled_from([".txt", ".npz"]),
+                        st.sampled_from(["keep", "keep", "keep", "flip", "cut", "grow"]),
+                        st.integers(0, 1 << 16), st.integers(1, 255),
+                        st.binary(min_size=1, max_size=64))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cli_argv(), FILE_DAMAGE)
+def test_every_argv_exits_0_or_2(tmp_path_factory, argv, damage):
+    # the claim holds for every valid input, so 1 never answers a valid or a bad one
+    tmp = tmp_path_factory.mktemp("argv")
+    suffix, how, at, flip, tail = damage
+    inst = tmp / f"inst{suffix}"
+    save_instance(generate("explicit", {"costs": [3, 1, 4, 1, 5, 9, 2, 6]}), inst)
+    data = inst.read_bytes()
+    at %= len(data)
+    if how == "flip":
+        data = data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
+    elif how == "cut":
+        data = data[:at]
+    elif how == "grow":
+        data += tail
+    inst.write_bytes(data)
+    assert main([arg.format(tmp=tmp, inst=inst) for arg in argv]) in (0, 2)

@@ -742,6 +742,24 @@ def test_an_npz_past_the_table_cap_is_refused_before_its_costs(tmp_path, capsys,
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_an_npz_past_its_n_data_is_refused_before_its_costs(tmp_path, capsys, command):
+    # its 32 MiB of costs used to be read whole before CostInstance refused their count
+    path = tmp_path / "inst.npz"
+    np.savez(path, costs=np.zeros(1 << 22), n_data=np.int64(2), provenance="{}")
+    argv = [command, str(path), "--c-tol", "1"] + (["--strategy", "random"] * (command == "compare"))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text form's words for a body past its header
+    err = capsys.readouterr().err
+    assert err == f"postopt {command}: {path}: more than 2**2 costs under 'n_data=2'\n"
+    assert peak < 1 << 20
+
+
 def test_a_one_line_file_is_refused_at_the_header_bound(tmp_path):
     # the header line used to be read on to its end, here the end of an 8 MiB file
     path = tmp_path / "inst.txt"

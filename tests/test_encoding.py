@@ -289,6 +289,17 @@ def test_encode_checks_its_input_with_the_uniform_state_cached():
     assert uniform_superposition(layout) is uniform
 
 
+def test_encode_takes_a_uniform_state_built_before_another_layouts():
+    # each layout keeps its own uniform state, so building a second layout's
+    # does not turn the first into a state `encode` refuses
+    state = uniform_superposition(RegisterLayout(3, 1))
+    uniform_superposition(RegisterLayout(3, 2))
+    inst = generate("uniform_random", {"n_data": 3}, seed=4)
+    encoded = encode(state, inst, AmplitudeEncoder.identity())
+    assert encoded.layout == RegisterLayout(3, 1)
+    assert np.abs(encoded.accept - 1 / 8).max() <= 1e-12  # identity: every state accepts
+
+
 @pytest.mark.parametrize("junk", list(JunkPolicy))
 def test_encoded_state_is_real(junk):
     state, _ = encoded([0.1, 0.7, 0.3, 0.9], AmplitudeEncoder.cosine_power(2), junk, n_anc=2)
@@ -347,13 +358,13 @@ def test_encode_drops_the_last_result_before_it_builds_the_next(monkeypatch):
     inst = generate("uniform_random", {"n_data": 3}, seed=4)
     state = uniform_superposition(RegisterLayout(3, 1))
     out = encode(state, inst, AmplitudeEncoder.linear())
-    last = [weakref.ref(out), weakref.ref(state)]
-    del out, state
+    last = weakref.ref(out)
+    del out
     amplitudes = encoding_module.instance_amplitudes
 
     def spy(encoder, instance):
         gc.collect()
-        assert [ref() for ref in last] == [None, None], "the last encoding is still held"
+        assert last() is None, "the last encoding is still held"
         return amplitudes(encoder, instance)
 
     monkeypatch.setattr(encoding_module, "instance_amplitudes", spy)
