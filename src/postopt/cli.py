@@ -22,6 +22,7 @@ import json
 import math
 import platform
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -58,10 +59,7 @@ TABLE_N_MAX = 20  # explicit cost tables stop being practical past 2**20 entries
 GROVER_T_MAX = 10**7  # grover:<t> steps cost O(t); 10^7 of them take about 3 s
 BUDGET_MAX = 10**7  # postselect draws --budget ancilla outcomes in one array, ~256 MiB at the cap
 REPEATS_MAX = 10**5  # compare runs every strategy --repeats times
-# a sweep holds every drawn configuration until its report: 2**n costs each plus
-# about 2 KiB of Python objects, counted here as 256 more float64 entries
-SWEEP_ENTRIES_MAX = 1 << 28  # 2 GiB of float64
-SWEEP_ITEM_ENTRIES = 256
+SWEEP_MAX = 1 << 16  # a sweep holds one record per configuration, about 3.8 KiB each
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("instance", nargs="?", help="instance file to verify")
     source.add_argument("--sweep", type=int, metavar="COUNT",
                         help="verify COUNT randomized configurations instead of a file; "
-                             "COUNT * (2**n + 256) may not exceed 2**28")
+                             f"COUNT <= {SWEEP_MAX}")
     ver.add_argument("--n", type=int, help="cap on swept data qubit count (default 12)")
     ver.add_argument("--seed", type=int, help="sweep seed (default 0)")
     ver.add_argument("--encoder", help="identity | oracle:<tau> | cospow:<b> | linear "
@@ -237,11 +235,11 @@ def _quantile(costs: np.ndarray, q: float) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
-def sweep_configurations(count: int, seed: int, n_max: int) -> list[tuple[str, CostInstance, RunConfig, dict]]:
-    """Deterministically draw `count` (instance, config) pairs, sorted by key."""
+def sweep_configurations(count: int, seed: int,
+                         n_max: int) -> Iterator[tuple[str, CostInstance, RunConfig, dict]]:
+    """Deterministically draw `count` (key, instance, config, desc) tuples, in draw order."""
     rng = np.random.default_rng(seed)
-    drawn = []
-    for i in range(count):
+    for _ in range(count):
         n_data = int(rng.integers(1, n_max + 1))
         kind = SWEEP_KINDS[rng.integers(len(SWEEP_KINDS))]
         inst_seed = int(rng.integers(2**31))
@@ -271,9 +269,7 @@ def sweep_configurations(count: int, seed: int, n_max: int) -> list[tuple[str, C
                f"{junk.value}/anc{n_anc}/ctol{c_tol:.6g}")
         desc = {"instance_kind": kind, "instance_seed": inst_seed,
                 "instance_params": json.dumps(params, sort_keys=True), "n_data": n_data}
-        drawn.append((key, instance, config, desc))
-    drawn.sort(key=lambda item: item[0])
-    return drawn
+        yield key, instance, config, desc
 
 
 def _print_verify_table(records: list[dict]) -> None:
@@ -298,11 +294,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigurationError("--sweep must be >= 1")
         if not 1 <= n_max <= TABLE_N_MAX:
             raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
-        if args.sweep * ((1 << n_max) + SWEEP_ITEM_ENTRIES) > SWEEP_ENTRIES_MAX:
-            raise ConfigurationError(f"--sweep {args.sweep} at --n {n_max} exceeds the cap of "
-                                     f"2**28 entries, COUNT * (2**n + {SWEEP_ITEM_ENTRIES})")
-        swept = sweep_configurations(args.sweep, seed, n_max)
-        records = [check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc in swept]
+        if args.sweep > SWEEP_MAX:
+            raise ConfigurationError(f"--sweep {args.sweep} exceeds the cap of {SWEEP_MAX}")
+        configurations = sweep_configurations(args.sweep, seed, n_max)
     else:
         _refuse_unread(args, ("n", "seed"), "with an instance file")
         if args.c_tol is None:
@@ -314,7 +308,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                f"anc{config.n_anc}/ctol{args.c_tol:.6g}")
         desc = {"instance_kind": "file", "instance_seed": None,
                 "instance_params": json.dumps({"path": args.instance}), "n_data": instance.n_data}
-        records = [check_configuration(instance, config, key, desc)]
+        configurations = [(key, instance, config, desc)]
+    # each table is checked as it is drawn and then dropped; the stable sort by key
+    # keeps draw order among equal keys
+    records = sorted((check_configuration(inst, cfg, key, desc)
+                      for key, inst, cfg, desc in configurations), key=lambda record: record["key"])
 
     meta = _meta("verify", seed)
     _write_report(args.out, meta, records)

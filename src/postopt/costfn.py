@@ -474,8 +474,9 @@ def _load_npz(path: str | Path, n_data_max: int | None) -> CostInstance:
         raise
     # np.load raises ValueError on pickled content; a .npy file has no __enter__; numpy
     # allocates the shape a member's header declares before it reads the data, and a
-    # caller with no cap may pass n_data=40 over 2**40 declared costs
+    # caller with no cap may pass n_data=40 over 2**40 declared costs; zipfile raises
+    # RuntimeError at an encrypted member, NotImplementedError at an unknown method
     except (KeyError, TypeError, ValueError, AttributeError, EOFError, MemoryError,
-            zipfile.BadZipFile) as exc:
+            RuntimeError, zipfile.BadZipFile) as exc:
         raise ConfigurationError(f"{path}: malformed instance .npz ({exc})") from exc
     return _handed_over(n_data, costs, provenance)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from postopt import costfn
 from postopt.algorithm import BLOCK, RunConfig
-from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, SWEEP_QUANTILES, TABLE_N_MAX,
-                         _quantile, build_parser, check_configuration, main, sweep_configurations)
+from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, SWEEP_MAX, SWEEP_QUANTILES,
+                         TABLE_N_MAX, _quantile, build_parser, check_configuration, main,
+                         sweep_configurations)
 from postopt.costfn import (CENTERS_MAX, CostInstance, generate, hamming_distances,
                             load_instance, save_instance)
 from postopt.encoding import AmplitudeEncoder, JunkPolicy
@@ -145,7 +148,7 @@ def test_verify_sweep_draws_are_pinned():
     # the keys and c_tol bits of one sweep: a change to any draw, to the quantile or to a
     # generator moves this digest
     digest = hashlib.sha256()
-    for key, _, config, _ in sweep_configurations(300, 5, 14):
+    for key, _, config, _ in sorted(sweep_configurations(300, 5, 14), key=lambda item: item[0]):
         digest.update(f"{key} {config.c_tol.hex()}\n".encode())
     assert digest.hexdigest() == "ecd5bc3a7283d8a49b7c9d5a2630731f12f5aa12bfdae8f3b658ad733ad18232"
 
@@ -232,12 +235,36 @@ def test_one_verify_record_builds_one_encoding(monkeypatch):
 
 def test_a_sweep_builds_each_layouts_uniform_state_once():
     # a one-entry cache rebuilt the state whenever consecutive records changed layout
-    swept = sweep_configurations(1000, 3, 12)
+    swept = list(sweep_configurations(1000, 3, 12))
     layouts = {(inst.n_data, config.n_anc) for _, inst, config, _ in swept}
     uniform_superposition.cache_clear()
     for key, inst, config, desc in swept:
         check_configuration(inst, config, key, desc)
     assert uniform_superposition.cache_info().misses == len(layouts) == 36
+
+
+def test_a_sweep_holds_one_cost_table_at_a_time(monkeypatch):
+    # the sweep used to hold every drawn table until the last was drawn: 39 of 40 at the end
+    import postopt.cli as cli
+
+    instances, alive = [], []
+    generate_ = cli.generate
+    check = cli.check_configuration
+
+    def generate_kept(*args):
+        instance = generate_(*args)
+        instances.append(weakref.ref(instance))
+        return instance
+
+    def check_counted(instance, *args):
+        alive.append(sum(ref() is not None for ref in instances if ref() is not instance))
+        return check(instance, *args)
+
+    monkeypatch.setattr(cli, "generate", generate_kept)
+    monkeypatch.setattr(cli, "check_configuration", check_counted)
+    assert main(["verify", "--sweep", "40", "--n", "10", "--seed", "2"]) == 0
+    assert len(alive) == 40
+    assert max(alive) <= 1  # encode's one-entry memo may keep the last one
 
 
 def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkeypatch):
@@ -460,8 +487,10 @@ MALFORMED_ARGV = {
     "compare_inf_c_tol": ["compare", "{demo}", "--c-tol", "inf", "--strategy", "random"],
     "sweep_n_zero": ["verify", "--sweep", "2", "--n", "0"],
     "sweep_n_over_cap": ["verify", "--sweep", "2", "--n", str(TABLE_N_MAX + 1)],
-    # every drawn configuration is held until the report; 10^8 of them used to start drawing
+    # each record, about 3.8 KiB whatever --n, is held until the report; 10^8 of them
+    # used to start drawing
     "sweep_over_cap": ["verify", "--sweep", str(10**8), "--n", "1"],
+    "sweep_one_over_cap": ["verify", "--sweep", str(SWEEP_MAX + 1), "--n", "1"],
     # jsonl is the only report form, so a --format flag must fail, never be ignored
     "verify_format_removed": ["verify", "--sweep", "2", "--format", "csv"],
     # 2**n_data as a huge integer; a file in the old JSON form fails the text header
@@ -549,7 +578,8 @@ def test_a_span_past_the_float_range_runs_where_nothing_scales_it(argv, tmp_path
     assert main([argv[0], str(wide), *argv[1:]]) == 0
 
 
-@pytest.mark.parametrize("count, n_max", [(1000, 12), (300, 14), (255, TABLE_N_MAX)])
+@pytest.mark.parametrize("count, n_max", [(1000, 12), (300, 14), (255, TABLE_N_MAX),
+                                          (SWEEP_MAX, TABLE_N_MAX)])
 def test_sweep_cap_admits_the_benchmark_sizes(count, n_max, monkeypatch):
     import postopt.cli as cli
 
@@ -678,4 +708,12 @@ def test_every_argv_exits_0_or_2(tmp_path_factory, argv, damage):
     elif how == "grow":
         data += tail
     inst.write_bytes(data)
-    assert main([arg.format(tmp=tmp, inst=inst) for arg in argv]) in (0, 2)
+    tracemalloc.start()
+    try:
+        code = main([arg.format(tmp=tmp, inst=inst) for arg in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 2)
+    if code == 2:  # a refused request allocates no more than one parse chunk
+        assert peak < costfn._PARSE_BLOCK_BYTES + (1 << 20), peak

@@ -1146,6 +1146,27 @@ def test_npz_refuses_files_that_are_not_npz_archives(tmp_path):
         assert main(["verify", str(path), "--c-tol", "1"]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    (6, 0xff),  # version needed to extract: NotImplementedError
+    (8, 0x01),  # flag bit 0, encrypted: RuntimeError
+    (8, 0x40),  # flag bit 6, strong encryption: NotImplementedError
+    (10, 0x63),  # compression method 99: NotImplementedError
+])
+def test_npz_with_a_zip_feature_it_lacks_exits_2(tmp_path, field, value):
+    # one flipped byte in the central directory used to escape as a traceback, exit 1
+    path = tmp_path / "inst.npz"
+    np.savez(path, **GOOD_NPZ)
+    data = bytearray(path.read_bytes())
+    at = data.find(b"PK\x01\x02")
+    while at >= 0:
+        data[at + field] |= value
+        at = data.find(b"PK\x01\x02", at + 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConfigurationError):
+        load_instance(path)
+    assert main(["verify", str(path), "--c-tol", "1"]) == 2
+
+
 def test_npz_shape_past_its_data_is_refused(tmp_path):
     # numpy allocates the declared shape before reading: 8 TiB, or a short read
     header = io.BytesIO()
