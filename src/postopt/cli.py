@@ -18,6 +18,7 @@ Exit codes: 0 all checks pass, 1 a claim check failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import platform
@@ -25,7 +26,6 @@ import sys
 from collections.abc import Iterator
 from dataclasses import replace
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .baselines import (
     random_search,
 )
 from .costfn import (CENTERS_MAX, CostInstance, check_cap, check_params, count_below, generate,
-                     load_instance, min_cost, save_instance)
+                     load_instance, min_cost, replacing, save_instance)
 from .encoding import AmplitudeEncoder, JunkPolicy, shifted_span
 from .errors import ConfigurationError, PostoptError
 from .statevec import NORM_ATOL, RegisterLayout
@@ -59,7 +59,7 @@ TABLE_N_MAX = 20  # explicit cost tables stop being practical past 2**20 entries
 GROVER_T_MAX = 10**7  # grover:<t> steps cost O(t); 10^7 of them take about 3 s
 BUDGET_MAX = 10**7  # postselect draws --budget ancilla outcomes in one array, ~256 MiB at the cap
 REPEATS_MAX = 10**5  # compare runs every strategy --repeats times
-SWEEP_MAX = 1 << 16  # a sweep holds one record per configuration, about 3.8 KiB each
+SWEEP_MAX = 1 << 16  # a sweep holds one record per configuration, about 1.5 KiB each
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,23 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _meta(command: str, seed: int) -> dict:
-    return {
+def _write_report(out, command: str, seed: int, records: list[dict]) -> None:
+    """Stream the meta record, then one JSON line per record, into `out`, a file or None."""
+    if out is None:
+        return
+    meta = {
         "record": "meta",
         "command": command,
         "seed": seed,
-        "versions": {
-            "postopt": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": {"postopt": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-
-
-def _write_report(out: str | None, meta: dict, records: list[dict]) -> None:
-    if out:
-        Path(out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in [meta, *records]))
+    for record in [meta, *records]:
+        out.write(json.dumps(record, sort_keys=True).encode() + b"\n")
 
 
 def _fmt(x) -> str:
@@ -296,7 +293,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
         if args.sweep > SWEEP_MAX:
             raise ConfigurationError(f"--sweep {args.sweep} exceeds the cap of {SWEEP_MAX}")
-        configurations = sweep_configurations(args.sweep, seed, n_max)
     else:
         _refuse_unread(args, ("n", "seed"), "with an instance file")
         if args.c_tol is None:
@@ -309,13 +305,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         desc = {"instance_kind": "file", "instance_seed": None,
                 "instance_params": json.dumps({"path": args.instance}), "n_data": instance.n_data}
         configurations = [(key, instance, config, desc)]
-    # each table is checked as it is drawn and then dropped; the stable sort by key
-    # keeps draw order among equal keys
-    records = sorted((check_configuration(inst, cfg, key, desc)
-                      for key, inst, cfg, desc in configurations), key=lambda record: record["key"])
-
-    meta = _meta("verify", seed)
-    _write_report(args.out, meta, records)
+    # the report is opened before any work, so a bad -o exits 2 at once
+    with replacing(args.out) if args.out else contextlib.nullcontext() as out:
+        if args.sweep is not None:
+            configurations = sweep_configurations(args.sweep, seed, n_max)
+        # each table is checked as it is drawn and then dropped; the stable sort by key
+        # keeps draw order among equal keys
+        records = sorted((check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc
+                          in configurations), key=lambda record: record["key"])
+        _write_report(out, "verify", seed, records)
     _print_verify_table(records)
 
     failures = [r for r in records if not r["ok"]]
@@ -353,7 +351,8 @@ def _parse_strategies(text: str) -> list[tuple[str, int | None]]:
 
 
 def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
-                 config: RunConfig, m: int, seeds: list[int]) -> dict:
+                 config: RunConfig, m: int, seeds: list[int]) -> tuple[dict, str]:
+    """The strategy's record, and its row of the compare table after the strategy column."""
     c_tol, budget = config.c_tol, config.max_preparations
     record: dict = {
         "record": "compare",
@@ -377,7 +376,7 @@ def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
         record["mean_trials_used"] = float(np.mean([r.trials_used for r in results]))
         record["mean_trials_to_hit"] = float(np.mean([r.trials_used for r in hits])) if hits else None
         record["best_cost"] = float(min(r.best_cost for r in results))
-        return record
+        return record, f"{_hit_cells(record)} mean trials used {record['mean_trials_used']:.4g}"
 
     if strategy == "postselect":
         ana = exact_analysis(instance, config)
@@ -392,7 +391,8 @@ def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
         record["hit_rate"] = sum(1 for s in stats if s.low_cost_hits) / len(stats)
         record["mean_trials_to_hit"] = float(np.mean(first_hits)) if first_hits else None
         record["mean_p_joint_estimate"] = float(np.mean([s.p_joint_estimate for s in stats]))
-        return record
+        return record, (f"{_hit_cells(record)} exact p_joint {ana.p_joint:.6g} <= M/N {ana.bound:.6g}, "
+                        f"expected preps/hit {_fmt(record['expected_preparations_per_hit'])}")
 
     t = optimal_iterations(instance.n_data, m) if iterations is None else iterations
     record["iterations"] = t
@@ -401,7 +401,12 @@ def _compare_one(strategy: str, iterations: int | None, instance: CostInstance,
     record["expected_repetitions_per_hit"] = (
         1.0 / record["success_probability"] if record["success_probability"] > 0 else None
     )
-    return record
+    return record, (f"{'':>9} {'':>19} success prob {record['success_probability']:.6g} at t={t}, "
+                    f"expected reps/hit {_fmt(record['expected_repetitions_per_hit'])}")
+
+
+def _hit_cells(record: dict) -> str:
+    return f"{record['hit_rate']:>9.3f} {_fmt(record['mean_trials_to_hit']):>19}"
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -422,32 +427,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"no state has cost below c_tol={args.c_tol}; nothing to find")
 
     master = np.random.default_rng(args.seed)
-    records = []
-    for strategy, iterations in strategies:
-        seeds = [int(s) for s in master.integers(2**63, size=args.repeats)]
-        records.append(_compare_one(strategy, iterations, instance, config, m, seeds))
-
-    meta = _meta("compare", args.seed)
-    _write_report(args.out, meta, records)
+    with replacing(args.out) if args.out else contextlib.nullcontext() as out:
+        rows = [_compare_one(strategy, iterations, instance, config, m,
+                             [int(s) for s in master.integers(2**63, size=args.repeats)])
+                for strategy, iterations in strategies]
+        _write_report(out, "compare", args.seed, [record for record, _ in rows])
 
     print(f"instance: N={instance.size}, M={m}, c_tol={args.c_tol:g} "
           f"(random-search mean trials N/M = {instance.size / m:.4g})")
     header = f"{'strategy':<16} {'hit rate':>9} {'mean trials-to-hit':>19} {'notes'}"
     print(header)
     print("-" * 72)
-    for r in records:
-        if r["strategy"].startswith("grover"):
-            note = (f"success prob {r['success_probability']:.6g} at t={r['iterations']}, "
-                    f"expected reps/hit {_fmt(r['expected_repetitions_per_hit'])}")
-            print(f"{r['strategy']:<16} {'':>9} {'':>19} {note}")
-        elif r["strategy"] == "postselect":
-            note = (f"exact p_joint {r['p_joint_exact']:.6g} <= M/N {r['bound']:.6g}, "
-                    f"expected preps/hit {_fmt(r['expected_preparations_per_hit'])}")
-            print(f"{r['strategy']:<16} {r['hit_rate']:>9.3f} "
-                  f"{_fmt(r['mean_trials_to_hit']):>19} {note}")
-        else:
-            print(f"{r['strategy']:<16} {r['hit_rate']:>9.3f} "
-                  f"{_fmt(r['mean_trials_to_hit']):>19} mean trials used {r['mean_trials_used']:.4g}")
+    for record, row in rows:
+        print(f"{record['strategy']:<16} {row}")
     return 0
 
 

@@ -197,33 +197,39 @@ def save_instance(instance: CostInstance, path: str | Path) -> None:
     """Write an instance file: `.npz` by its suffix, else text.
 
     Both forms round-trip costs bit-exactly: text through repr, `.npz` as raw
-    float64.  Both are written to a new file beside `path`, which then replaces
-    it, so a failed write leaves no partial file and an existing file intact;
-    the new file gets the mode that `open(path, "w")` would give.  A target that
-    exists but is no regular file, such as `/dev/null`, is written in place.
+    float64.  Both are written through `replacing`, so a failed write leaves no
+    partial file and an existing file intact.
 
     The text writer formats a block of costs per `%` call.  `_forked_parts`
     formats a table of 2 * _PART_MIN costs or more in parts split at line
     boundaries, one per usable CPU, with the bytes of one process.
     """
-    path = Path(path)
-    if path.suffix == ".npz":
+    if Path(path).suffix == ".npz":
         provenance = json.dumps(instance.provenance, sort_keys=True)  # may raise: before any file
-        _replace_with(path, lambda out: np.savez(out, costs=instance.costs,
-                                                 n_data=instance.n_data, provenance=provenance))
+        with replacing(path) as out:
+            np.savez(out, costs=instance.costs, n_data=instance.n_data, provenance=provenance)
     else:
-        _replace_with(path, lambda out: _write_text(instance, out))
+        with replacing(path) as out:
+            _write_text(instance, out)
 
 
-def _replace_with(path: Path, write) -> None:
-    """Call `write` on a new binary file beside `path`, then move that file onto `path`."""
+@contextlib.contextmanager
+def replacing(path: str | Path):
+    """Yield a new binary file beside `path`; move it onto `path` once the block completes.
+
+    Every file the program writes goes through here.  A block that raises leaves
+    `path` as it was and no new file behind; a killed process can leave one, named
+    `.postopt-*.tmp`.  The new file gets the mode that `open(path, "w")` would give,
+    and a symlink at `path` is kept, its target replaced.  A target that exists but
+    is no regular file, such as `/dev/null`, is written in place.
+    """
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):  # a device or a FIFO; open fails on a directory
         with open(path, "wb") as out:
-            write(out)
+            yield out
         return
     target = os.path.realpath(path)  # through a symlink, so the link is kept
     part = os.path.join(os.path.dirname(target), f".postopt-{os.urandom(6).hex()}.tmp")
@@ -232,7 +238,7 @@ def _replace_with(path: Path, write) -> None:
         with open(fd, "wb") as out:
             if mode is not None:  # open(path, "w") keeps an existing file's mode
                 os.fchmod(fd, stat.S_IMODE(mode))
-            write(out)
+            yield out
         os.replace(part, target)
     except BaseException:
         os.unlink(part)

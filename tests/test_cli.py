@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import errno
 import hashlib
 import json
 import tracemalloc
@@ -202,9 +204,11 @@ def test_verify_exits_1_on_violated_claim(tmp_path, capsys, monkeypatch):
         return record
 
     monkeypatch.setattr(cli, "check_configuration", fake_check)
-    demo = write_demo(tmp_path)
-    assert main(["verify", str(demo), "--c-tol", "3"]) == 1
+    report = tmp_path / "report.jsonl"
+    assert main(["verify", "--sweep", "5", "--n", "3", "-o", str(report)]) == 1
     assert "check_joint_bound" in capsys.readouterr().err
+    _, records = read_records(report)  # the whole report, failed records too
+    assert len(records) == 5 and not any(r["ok"] for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +449,79 @@ def test_report_records_are_pinned_to_the_bit(tmp_path, argv, digest):
     assert hashlib.sha256(report.read_bytes().partition(b"\n")[2]).hexdigest() == digest
 
 
+# ---------------------------------------------------------------------------
+# the report file: opened before any work, streamed, and in place only once whole
+
+@pytest.mark.parametrize("argv, work", [
+    (["verify", "--sweep", "40", "--n", "6"], ("check_configuration",)),
+    (["compare", "{demo}", "--c-tol", "3", "--strategy", "random,hillclimb"],
+     ("random_search", "hill_climb")),
+], ids=["verify", "compare"])
+def test_a_report_into_a_missing_directory_exits_2_before_any_work(argv, work, tmp_path,
+                                                                    monkeypatch):
+    import postopt.cli as cli
+
+    calls = dict.fromkeys(work, 0)
+    for name in work:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    demo = write_demo(tmp_path)
+    report = tmp_path / "missing" / "report.jsonl"
+    assert main([arg.format(demo=demo) for arg in argv] + ["-o", str(report)]) == 2
+    assert calls == dict.fromkeys(work, 0)
+
+
+class FullDisk:
+    """A report file whose third write raises, as a full disk would."""
+
+    def __init__(self, file):
+        self.file, self.writes = file, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.file.write(data)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sweep", "5", "--n", "3"],
+    ["compare", "{demo}", "--c-tol", "3", "--strategy", "random,hillclimb", "--repeats", "2"],
+], ids=["verify", "compare"])
+def test_a_report_write_that_fails_partway_leaves_the_old_report(argv, tmp_path, monkeypatch):
+    import postopt.cli as cli
+
+    @contextlib.contextmanager
+    def full_disk(path):
+        with costfn.replacing(path) as out:
+            yield FullDisk(out)
+
+    monkeypatch.setattr(cli, "replacing", full_disk)
+    demo = write_demo(tmp_path)
+    report = tmp_path / "report.jsonl"
+    report.write_bytes(b"the last run's report\n")
+    assert main([arg.format(demo=demo) for arg in argv] + ["-o", str(report)]) == 2
+    assert report.read_bytes() == b"the last run's report\n"
+    assert list(tmp_path.glob(".postopt-*.tmp")) == []
+
+
+def test_a_report_adds_no_copy_of_the_sweep(tmp_path):
+    # a report joined into one string before it is written holds every record twice
+    report = ["-o", str(tmp_path / "report.jsonl")]
+    assert main(["verify", "--sweep", "50", "--n", "1", *report]) == 0  # lazy imports and caches
+    peaks = []
+    for out in ([], report):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--sweep", "2000", "--n", "1", "--seed", "1", *out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
 def test_compare_usage_errors(tmp_path):
     demo = write_demo(tmp_path)
     assert main(["compare", str(demo), "--c-tol", "3", "--strategy", ","]) == 2
@@ -487,7 +564,12 @@ MALFORMED_ARGV = {
     "compare_inf_c_tol": ["compare", "{demo}", "--c-tol", "inf", "--strategy", "random"],
     "sweep_n_zero": ["verify", "--sweep", "2", "--n", "0"],
     "sweep_n_over_cap": ["verify", "--sweep", "2", "--n", str(TABLE_N_MAX + 1)],
-    # each record, about 3.8 KiB whatever --n, is held until the report; 10^8 of them
+    # the report is opened before any draw, check or search
+    "sweep_out_in_missing_directory": ["verify", "--sweep", "2", "-o", "{missing}"],
+    "verify_out_in_missing_directory": ["verify", "{demo}", "--c-tol", "3", "-o", "{missing}"],
+    "compare_out_in_missing_directory": ["compare", "{demo}", "--c-tol", "3", "--strategy",
+                                         "random,hillclimb,grover,postselect", "-o", "{missing}"],
+    # each record, about 1.5 KiB whatever --n, is held until the report; 10^8 of them
     # used to start drawing
     "sweep_over_cap": ["verify", "--sweep", str(10**8), "--n", "1"],
     "sweep_one_over_cap": ["verify", "--sweep", str(SWEEP_MAX + 1), "--n", "1"],
@@ -607,7 +689,7 @@ def test_malformed_values_are_usage_errors(case, tmp_path, monkeypatch):
                "nonutf8_text": b"n_data=1\n0.5 \xff\xfe\n",
                "wide_text": b"n_data=1\n-1e308 1e308\n"}
     paths = {"demo": write_demo(tmp_path), "out": tmp_path / "out.txt",
-             "demo_npz": tmp_path / "demo.npz"}
+             "demo_npz": tmp_path / "demo.npz", "missing": tmp_path / "missing" / "report.jsonl"}
     save_instance(load_instance(paths["demo"]), paths["demo_npz"])
     for name, text in headers.items():
         paths[name] = tmp_path / f"{name}.{name.split('_')[1]}"

@@ -40,6 +40,12 @@ PRODUCTION = ("algorithm", "baselines", "cli", "costfn", "encoding")
 TRACER_PINNED = {"uniform_superposition", "marginal_probability", "marginal_distribution",
                  "postselect", "joint_distribution"}
 
+# How production may write a file: an `open` with a writing mode string or flag, or a call by
+# one of these names.  An unnamed `tempfile.TemporaryFile` is scratch, never an output file.
+WRITE_MODE = re.compile(r"[rbt]*[wxa+][rwxabt+]*")
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+WRITERS = {"write_text", "write_bytes", "save", "savez", "savez_compressed"}
+
 
 def imported_names(path: Path) -> set[str]:
     names = set()
@@ -49,6 +55,33 @@ def imported_names(path: Path) -> set[str]:
         elif isinstance(node, ast.Attribute):  # statevec.postselect after `from . import statevec`
             names.add(node.attr)
     return names
+
+
+def name_of(node: ast.AST) -> str | None:
+    """The name of a Name node or the attribute of an Attribute node."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    if name_of(call.func) in WRITERS:
+        return True
+    arguments = [node for arg in [*call.args, *(k.value for k in call.keywords)]
+                 for node in ast.walk(arg)]
+    return name_of(call.func) == "open" and any(
+        name_of(node) in WRITE_FLAGS
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and WRITE_MODE.fullmatch(node.value))
+        for node in arguments)
+
+
+def file_writes(node: ast.AST, function: str | None = None) -> set[tuple[str | None, str]]:
+    """(innermost enclosing function, callee) of each call under `node` that writes a file."""
+    writes = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and writes_a_file(child):
+            writes.add((function, name_of(child.func)))
+        writes |= file_writes(child, child.name if isinstance(child, ast.FunctionDef) else function)
+    return writes
 
 
 def exported() -> set[str]:
@@ -90,6 +123,14 @@ def test_every_imported_name_is_used():
                  for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert bound <= used, (path.stem, bound - used)
+
+
+def test_only_costfn_writes_files():
+    # one writer, so every output file is replaced only once it is whole; `save_instance`
+    # calls np.savez on the file `replacing` yields
+    writes = {(path.stem, *write) for path in PACKAGE.glob("*.py")
+              for write in file_writes(ast.parse(path.read_text()))}
+    assert writes == {("costfn", "replacing", "open"), ("costfn", "save_instance", "savez")}
 
 
 def test_production_modules_do_not_use_the_dense_reference():
