@@ -15,11 +15,11 @@ compares the two measurement orderings at the distribution level, and
 Every quantity is a sum over the encoded instance's Born weights, O(N) of
 them whatever n_anc is: p_first is the ancilla-0 column sum, the
 post-selected data distribution is that column renormalized, and the
-register marginals are row and column sums.  The exact checks read those
-columns and `costs < c_tol` in blocks of BLOCK entries with masked sums, so
-their temporaries are O(BLOCK).  The `statevec` measurement functions compute
-the same quantities the long way on the dense state; the tests hold this
-module to them.
+register marginals are row and column sums.  The exact checks take the
+column sums the encoded instance keeps and read its weights, built from a_k
+per `encoding.BLOCK` rows with `costs < c_tol` alongside, so their
+temporaries are O(BLOCK).  The `statevec` measurement functions compute the
+same quantities the long way; the tests hold this module to them.
 
 Sampling draws from numpy's PCG64 generator (``np.random.default_rng``), so
 sampled outcomes are reproducible for a fixed seed.  The sampled protocol
@@ -39,13 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costfn import CostInstance, count_below
-from .encoding import AmplitudeEncoder, EncodedInstance, JunkPolicy, encode
+from .encoding import AmplitudeEncoder, EncodedInstance, JunkPolicy, blocks, encode
 from .errors import ConfigurationError
 from .statevec import EPS_PROB, RegisterLayout, uniform_superposition
 
 ATOL_IDENTITY = 1e-12
 ATOL_BOUND = 1e-9
-BLOCK = 1 << 15  # entries per block of the exact checks: 256 KiB of float64, cache-sized
 
 
 @dataclass(frozen=True)
@@ -122,25 +121,20 @@ def encoded_state(instance: CostInstance, config: RunConfig) -> EncodedInstance:
     return encode(uniform_superposition(layout), instance, config.encoder, config.junk)
 
 
-def _blocks(size: int):
-    """Consecutive slices of at most BLOCK entries that cover range(size)."""
-    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
-
-
 def exact_analysis(instance: CostInstance, config: RunConfig) -> ExactAnalysis:
     """Success probabilities of one attempt, from the exact amplitudes."""
-    accept = encoded_state(instance, config).accept
+    encoded = encoded_state(instance, config)
     n = instance.size
     m = count_below(instance, config.c_tol)
 
-    p_first = float(accept.sum())
-    if p_first <= EPS_PROB:
-        # acceptance never happens; the conditional is undefined
-        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, float(accept.max()))
+    p_first = encoded.totals[0]
+    if p_first <= EPS_PROB:  # acceptance never happens; the conditional is undefined
+        max_accept = max(float(encoded.weights(block)[0].max()) for block in blocks(n))
+        return ExactAnalysis(p_first, None, 0.0, m, n, m / n, max_accept)
 
     p_cond = max_product = 0.0
-    for block in _blocks(n):
-        cond_data = accept[block] / p_first
+    for block in blocks(n):
+        cond_data = encoded.weights(block)[0] / p_first
         p_cond += float(cond_data.sum(where=instance.costs[block] < config.c_tol))
         max_product = max(max_product, float((p_first * cond_data).max()))
     return ExactAnalysis(p_first, p_cond, p_first * p_cond, m, n, m / n, max_product)
@@ -154,16 +148,15 @@ def chain_decomposition(instance: CostInstance, config: RunConfig) -> ChainDecom
     scheme cannot beat random search.
     """
     encoded = encoded_state(instance, config)
-    accept = encoded.accept
-    p_first = float(accept.sum())
+    p_first = encoded.totals[0]
     direct = p_a_given_b = p_a = joint_a_b = 0.0
-    for block in _blocks(instance.size):
+    for block in blocks(instance.size):
         low = instance.costs[block] < config.c_tol
-        acc = accept[block]
+        acc, junk = encoded.weights(block)
         direct += float(acc.sum(where=low))
         if p_first > EPS_PROB:
             p_a_given_b += float((acc / p_first).sum(where=low))
-        data_marg = acc + encoded.junk_repeats * encoded.junk_column[block]  # Born grid row sums
+        data_marg = acc + encoded.junk_repeats * junk  # Born grid row sums
         p_a += float(data_marg.sum(where=low))
         cond_b_given_k = np.divide(acc, data_marg, out=np.zeros_like(data_marg),
                                    where=data_marg > EPS_PROB)
@@ -189,10 +182,9 @@ def sequential_vs_joint_check(instance: CostInstance, config: RunConfig) -> floa
     """
     encoded = encoded_state(instance, config)
     distance = 0.0
-    for column, repeats in ((encoded.accept, 1), (encoded.junk_column, encoded.junk_repeats)):
-        p_a = float(column.sum())
-        for block in _blocks(column.size):
-            part = column[block]
+    for column, (p_a, repeats) in enumerate(zip(encoded.totals, (1, encoded.junk_repeats))):
+        for block in blocks(instance.size):
+            part = encoded.weights(block)[column]
             rebuilt = part / p_a * p_a if p_a > EPS_PROB else 0.0  # no weight, no conditional
             distance += repeats * float(np.abs(rebuilt - part).sum())
     return 0.5 * distance

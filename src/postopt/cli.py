@@ -471,8 +471,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         params = {"n_data": args.n, "lipschitz": args.lipschitz, "n_centers": args.centers}
     check_cap(check_params(kind, params)[0], TABLE_N_MAX)  # before any table is built
-    instance = generate(kind, params, args.seed)
-    save_instance(instance, args.out)
+    with replacing(args.out) as out:  # opened first, so a bad -o exits 2 before the table is built
+        instance = generate(kind, params, args.seed)
+        save_instance(instance, args.out, out)
     k_min, c_min = min_cost(instance)
     print(f"wrote {args.out}: kind={kind} n_data={instance.n_data} N={instance.size} "
           f"min_cost={c_min:g} at index {k_min} max_cost={instance.c_max:g} seed={args.seed}")

@@ -193,23 +193,23 @@ _CUT_SEARCH_BYTES = 1 << 12  # bytes read at a nominal cut of a text body to fin
 _RAISED = 3  # exit status of a forked part whose work raised; its file holds the exception
 
 
-def save_instance(instance: CostInstance, path: str | Path) -> None:
+def save_instance(instance: CostInstance, path: str | Path, out=None) -> None:
     """Write an instance file: `.npz` by its suffix, else text.
 
     Both forms round-trip costs bit-exactly: text through repr, `.npz` as raw
     float64.  Both are written through `replacing`, so a failed write leaves no
-    partial file and an existing file intact.
+    partial file and an existing file intact; `out`, when given, is the file
+    that a `replacing(path)` block already holds open.
 
     The text writer formats a block of costs per `%` call.  `_forked_parts`
     formats a table of 2 * _PART_MIN costs or more in parts split at line
     boundaries, one per usable CPU, with the bytes of one process.
     """
-    if Path(path).suffix == ".npz":
-        provenance = json.dumps(instance.provenance, sort_keys=True)  # may raise: before any file
-        with replacing(path) as out:
-            np.savez(out, costs=instance.costs, n_data=instance.n_data, provenance=provenance)
-    else:
-        with replacing(path) as out:
+    with replacing(path) if out is None else contextlib.nullcontext(out) as out:
+        if Path(path).suffix == ".npz":  # json.dumps may raise, and then no file is left
+            np.savez(out, costs=instance.costs, n_data=instance.n_data,
+                     provenance=json.dumps(instance.provenance, sort_keys=True))
+        else:
             _write_text(instance, out)
 
 
@@ -233,7 +233,10 @@ def replacing(path: str | Path):
         return
     target = os.path.realpath(path)  # through a symlink, so the link is kept
     part = os.path.join(os.path.dirname(target), f".postopt-{os.urandom(6).hex()}.tmp")
-    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
+    try:
+        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
+    except OSError as exc:  # name the path given, not the new file beside it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "wb") as out:
             if mode is not None:  # open(path, "w") keeps an existing file's mode

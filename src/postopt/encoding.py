@@ -6,10 +6,9 @@ amplitude assigned to cost C(k), and routes the leftover sqrt(1 - a_k^2)/sqrt(N)
 onto nonzero ancilla outcomes according to the junk policy.  The map is an
 isometry on its domain, so the output is again normalized.
 
-`encode` returns that state as an `EncodedInstance`, the O(N) Born weights
-of its distinct ancilla columns; its 2**(n_data + n_anc) grid is never built.
-It builds them in two N-arrays, in place, with the operations and in the
-order of the formulas below, so the weights are the same bits.
+`encode` returns that state as an `EncodedInstance`, which keeps the N success
+amplitudes a_k and builds the Born weights of its two distinct ancilla columns
+from them block by block; its 2**(n_data + n_anc) grid is never built.
 
 Encoder families, named by their specs (u = cost / c_max after the shift):
 
@@ -141,43 +140,84 @@ def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np
     return np.subtract(1.0, u, out=u)
 
 
+BLOCK = 1 << 15  # rows per block of Born weights: 256 KiB of float64, cache-sized
+
+
+def blocks(size: int):
+    """Consecutive slices of at most BLOCK entries that cover range(size)."""
+    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
+
+
 @dataclass(frozen=True, eq=False)
 class EncodedInstance:
-    """The encoded state as its Born weights, one array per distinct ancilla column.
+    """The encoded state, held as its success amplitudes `a`: the one N-array it keeps.
 
-    Row k of the Born grid P[k, a] = amp(k, a)^2 holds `accept[k]` = a_k^2/N
-    on ancilla 0...0 and `junk_column[k]` on each of `junk_repeats` junk
-    outcomes, which share (1 - a_k^2)/N equally: outcome 0...01 alone for
-    CONCENTRATED, all 2**n_anc - 1 nonzero ones for SPREAD.  Every other
-    entry is 0.  Both arrays are read-only views.
+    Row k of the Born grid P[k, a] = amp(k, a)^2 holds accept_k = a_k^2/N on
+    ancilla 0...0 and junk_k on each of `junk_repeats` junk outcomes, which
+    share (1 - a_k^2)/N equally: outcome 0...01 alone for CONCENTRATED, all
+    2**n_anc - 1 nonzero ones for SPREAD.  Every other entry is 0.  `weights`
+    builds both columns for one block of rows.  `totals` are their sums as
+    numpy's pairwise `sum` takes them of a whole power-of-two column.
     """
 
     layout: RegisterLayout
-    accept: np.ndarray = field(repr=False)
-    junk_column: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
     junk_repeats: int
+    totals: tuple[float, float] = field(init=False, repr=False)
+    _last: tuple = field(init=False, repr=False, default=(None, None))  # (block, its weights)
 
     def __post_init__(self) -> None:
-        total = float(self.accept.sum()) + self.junk_repeats * float(self.junk_column.sum())
+        object.__setattr__(self, "a", read_only_view(self.a))
+        parts = [[w.sum() for w in self.weights(block)] for block in blocks(self.a.size)]
+        while len(parts) > 1:  # the block sums, added in pairs as numpy halves the column
+            parts = [[x + y for x, y in zip(*pair)] for pair in zip(parts[::2], parts[1::2])]
+        object.__setattr__(self, "totals", tuple(float(s) for s in parts[0]))
+        total = self.totals[0] + self.junk_repeats * self.totals[1]
         if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
             raise DomainError(f"Born weights sum to {total}, not 1 within {NORM_ATOL}")
-        object.__setattr__(self, "accept", read_only_view(self.accept))
-        object.__setattr__(self, "junk_column", read_only_view(self.junk_column))
+
+    def weights(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only accept and junk weights of the rows in `block`, built in place in
+        one order whatever the block, so each has the same bits; the last block is kept."""
+        last_block, last_weights = self._last  # read once: another thread may replace it
+        if last_block == block:
+            return last_weights
+        object.__setattr__(self, "_last", (None, None))  # drop the old block before the next
+        accept, root_n = self.a[block].copy(), np.sqrt(self.layout.data_dim)  # accept: a_k^2/N
+        junk = np.square(accept)
+        np.sqrt(np.clip(np.subtract(1.0, junk, out=junk), 0.0, None, out=junk), out=junk)
+        junk /= root_n
+        junk /= np.sqrt(self.junk_repeats)  # exact for one repeat
+        np.square(junk, out=junk)
+        np.square(np.divide(accept, root_n, out=accept), out=accept)
+        accept.flags.writeable = junk.flags.writeable = False
+        object.__setattr__(self, "_last", (block, (accept, junk)))
+        return accept, junk
+
+    accept = property(lambda self: self._column(0), doc="The whole accept column, read-only.")
+    junk_column = property(lambda self: self._column(1), doc="One whole junk column, read-only.")
+
+    def _column(self, which: int) -> np.ndarray:
+        return read_only_view(np.concatenate([self.weights(b)[which] for b in blocks(self.a.size)]))
 
     @functools.cached_property
     def sampling_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The ancilla CDF and the post-selected data CDF, built on first use.
 
-        Their `p` vectors round as the dense grid's column sums and its
-        renormalized column 0 do, so the draws equal `rng.choice` draws on
-        that grid.  The data table is None when no draw can accept.
+        Their `p` vectors round as the dense grid's column sums, taken row by
+        row as numpy sums an (N, 2) stack, and its renormalized column 0 do, so
+        the draws equal `rng.choice` draws on that grid.  The data table is
+        None when no draw can accept.
         """
-        sums = np.stack([self.accept, self.junk_column], axis=1).sum(0)
+        sums, data_p = np.zeros(2), np.empty(self.a.size)
+        for block in blocks(self.a.size):
+            accept, junk_column = self.weights(block)
+            data_p[block] = accept
+            sums = np.vstack([sums, np.stack([accept, junk_column], axis=1)]).sum(0)
         anc = np.zeros(self.layout.anc_dim)
-        anc[0] = sums[0]
-        anc[1:1 + self.junk_repeats] = sums[1]
-        accept_sum = self.accept.sum()
-        data_cdf = _choice_cdf(self.accept / accept_sum) if accept_sum > 0 else None
+        anc[0], anc[1:1 + self.junk_repeats] = sums
+        accept_sum = self.totals[0]
+        data_cdf = _choice_cdf(np.divide(data_p, accept_sum, out=data_p)) if accept_sum > 0 else None
         return _choice_cdf(anc / anc.sum()), data_cdf
 
 
@@ -243,19 +283,8 @@ def encode(
         repeats = layout.anc_dim - 1
     else:
         raise ConfigurationError(f"unknown junk policy {junk!r}")
-    accept = instance_amplitudes(encoder, instance)  # becomes a_k^2 / N in place
-    root_n = np.sqrt(layout.data_dim)
-    junk_column = np.square(accept)
-    np.subtract(1.0, junk_column, out=junk_column)
-    np.clip(junk_column, 0.0, None, out=junk_column)
-    np.sqrt(junk_column, out=junk_column)
-    junk_column /= root_n
-    if repeats > 1:
-        junk_column /= np.sqrt(repeats)
-    np.square(junk_column, out=junk_column)
-    accept /= root_n
-    np.square(accept, out=accept)
-    accept.flags.writeable = junk_column.flags.writeable = False  # handed over, not copied
-    encoded = EncodedInstance(layout, accept, junk_column, repeats)
+    a = instance_amplitudes(encoder, instance)
+    a.flags.writeable = False  # handed over, not copied
+    encoded = EncodedInstance(layout, a, repeats)
     _last_encoding = (state, instance, encoder, junk, encoded)
     return encoded

@@ -7,11 +7,13 @@ Basis-state indexing packs both registers into one integer::
 so ``amplitudes.reshape(2**n_data, 2**n_anc)[k, a]`` is the amplitude of
 |k, a>.  Post-selection on an ancilla outcome is then a strided slice.
 
-The production path builds no dense state but the uniform one: `algorithm`
-reads the O(N) Born weights that `encoding.encode` returns.  The measurement
-functions here -- `marginal_*`, `postselect`, `joint_distribution` -- take
-the long way through explicit conditional states and outcome distributions;
-the tests compare `algorithm` against them on a dense encoded state.
+The production path builds no dense state but the uniform one: a verify
+holds the cost table, the N success amplitudes that `encoding.encode` keeps
+and O(block) temporaries, as `algorithm` reads their Born weights block by
+block.  The measurement functions here -- `marginal_*`, `postselect`,
+`joint_distribution` -- take the long way through explicit conditional
+states and outcome distributions; the tests compare `algorithm` against them
+on a dense encoded state.
 
 A state's dtype follows its amplitudes: complex input is stored as
 complex128, anything else as float64.  The uniform state is one ancilla row
@@ -24,9 +26,7 @@ The views guard against accidental writes only: ``x.base.obj`` still reaches
 the owning array, which numpy lets a caller mark writable again.
 `uniform_superposition` keeps one uniform state per layout, so the calls for
 a layout share one object, and `encoding.encode` takes that object by
-identity and keeps it as the key of its last result.  The production path
-builds no dense state: a verify holds the cost table, the encoded
-instance's two Born columns and O(block) temporaries.
+identity and keeps it as the key of its last result.
 """
 
 from __future__ import annotations

@@ -298,6 +298,30 @@ def test_chain_p_first_zero_reports_direct_only():
     assert chain.direct == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_data, spec, junk, n_anc", [
+    (16, "cospow:2", JunkPolicy.SPREAD, 3),
+    (17, "linear", JunkPolicy.CONCENTRATED, 1),
+    (18, "oracle:5", JunkPolicy.SPREAD, 2),
+])
+def test_a_multi_block_record_matches_the_whole_column_arithmetic(n_data, spec, junk, n_anc):
+    # every field, recomputed from whole accept and junk columns
+    inst = generate("hamming_structured", {"n_data": n_data}, seed=n_data)
+    c_tol = float(np.quantile(inst.costs, 0.3))
+    config = RunConfig(c_tol=c_tol, encoder=AmplitudeEncoder.parse(spec), junk=junk, n_anc=n_anc)
+    record = check_configuration(inst, config, "k", {})
+    accept, junk_column = reference.born_columns(inst, config.encoder, junk, n_anc)
+    low = inst.costs < c_tol
+    rows = accept + (2**n_anc - 1 if junk == JunkPolicy.SPREAD else 1) * junk_column
+    joint = accept[low].sum()
+    want = {"p_first": accept.sum(), "p_cond": joint / accept.sum(), "p_joint": joint,
+            "max_per_state_product": accept.max(), "chain_direct": joint,
+            "chain_via_ancilla": joint, "chain_via_cost": joint,
+            "p_b_given_a": joint / rows[low].sum(), "tv_distance": 0.0}
+    assert inst.size > encoding.BLOCK and record["ok"]
+    for name, value in want.items():
+        assert abs(record[name] - value) <= 1e-12, name
+
+
 # ---------------------------------------------------------------------------
 # sequential vs joint
 
@@ -480,6 +504,21 @@ def test_rtus_equals_rng_choice_on_the_dense_grid(case, junk, budget, seed):
     assert np.array_equal(anc_cdf, encoding._choice_cdf(anc_p))
     assert (data_cdf is None) == (data_p is None)
     assert data_p is None or np.array_equal(data_cdf, encoding._choice_cdf(data_p))
+
+
+@pytest.mark.parametrize("junk", list(JunkPolicy))
+def test_multi_block_sampling_tables_are_the_whole_column_tables(junk):
+    # the column sums run across the blocks as numpy sums the (N, 2) stack of whole columns
+    inst = generate("uniform_random", {"n_data": 17}, seed=4)
+    config = RunConfig(c_tol=0.1, encoder=AmplitudeEncoder.cosine_power(8), junk=junk, n_anc=3)
+    accept, junk_column = reference.born_columns(inst, config.encoder, junk, config.n_anc)
+    sums = np.stack([accept, junk_column], axis=1).sum(0)
+    anc = np.zeros(8)
+    anc[0], anc[1:8 if junk == JunkPolicy.SPREAD else 2] = sums
+    anc_cdf, data_cdf = encoded_state(inst, config).sampling_tables
+    assert inst.size > 2 * encoding.BLOCK
+    assert np.array_equal(anc_cdf, encoding._choice_cdf(anc / anc.sum()))
+    assert np.array_equal(data_cdf, encoding._choice_cdf(accept / accept.sum()))
 
 
 def test_rtus_interleaved_configurations_match_fresh_runs():

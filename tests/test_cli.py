@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from postopt import costfn
-from postopt.algorithm import BLOCK, RunConfig
+from postopt.algorithm import RunConfig
 from postopt.cli import (BUDGET_MAX, GROVER_T_MAX, REPEATS_MAX, SWEEP_MAX, SWEEP_QUANTILES,
                          TABLE_N_MAX, _quantile, build_parser, check_configuration, main,
                          sweep_configurations)
 from postopt.costfn import (CENTERS_MAX, CostInstance, generate, hamming_distances,
                             load_instance, save_instance)
-from postopt.encoding import AmplitudeEncoder, JunkPolicy
+from postopt.encoding import BLOCK, AmplitudeEncoder, JunkPolicy
 from postopt.statevec import uniform_superposition
 
 
@@ -291,10 +291,11 @@ def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, 
     assert len(builds) == 2  # the ancilla table and the post-selected data table
 
 
-def test_one_verify_record_holds_at_most_three_real_grids():
-    # accept, junk_column and O(block) temporaries; the uniform state is one
-    # ancilla row, so the bound does not grow with n_anc; the table spans
-    # several of the checks' blocks
+def test_one_verify_record_holds_one_real_grid_and_eight_blocks():
+    # the amplitudes a, the cost mask or the encoder's endpoint mask, and O(block)
+    # temporaries: the encoded instance builds its Born weights per block; the
+    # uniform state is one ancilla row, so the bound does not grow with n_anc;
+    # the table spans several blocks
     inst = generate("uniform_random", {"n_data": 18}, seed=8)
     config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2),
                        junk=JunkPolicy.SPREAD, n_anc=3)
@@ -306,7 +307,7 @@ def test_one_verify_record_holds_at_most_three_real_grids():
     finally:
         tracemalloc.stop()
     assert inst.size > 4 * BLOCK
-    assert peak <= 24 * inst.size
+    assert peak <= 9 * inst.size + 8 * 8 * BLOCK
 
 
 @st.composite
@@ -456,9 +457,11 @@ def test_report_records_are_pinned_to_the_bit(tmp_path, argv, digest):
     (["verify", "--sweep", "40", "--n", "6"], ("check_configuration",)),
     (["compare", "{demo}", "--c-tol", "3", "--strategy", "random,hillclimb"],
      ("random_search", "hill_climb")),
-], ids=["verify", "compare"])
+    (["generate", "--kind", "hamming_structured", "--n", "20"], ("generate",)),
+], ids=["verify", "compare", "generate"])
 def test_a_report_into_a_missing_directory_exits_2_before_any_work(argv, work, tmp_path,
-                                                                    monkeypatch):
+                                                                    monkeypatch, capsys):
+    # the error names the path given, not the new file `replacing` makes beside it
     import postopt.cli as cli
 
     calls = dict.fromkeys(work, 0)
@@ -469,8 +472,11 @@ def test_a_report_into_a_missing_directory_exits_2_before_any_work(argv, work, t
         monkeypatch.setattr(cli, name, counted)
     demo = write_demo(tmp_path)
     report = tmp_path / "missing" / "report.jsonl"
+    capsys.readouterr()
     assert main([arg.format(demo=demo) for arg in argv] + ["-o", str(report)]) == 2
     assert calls == dict.fromkeys(work, 0)
+    err = capsys.readouterr().err
+    assert str(report) in err and ".postopt-" not in err, err
 
 
 class FullDisk:

@@ -157,13 +157,18 @@ def test_encode_hand_computed_amplitudes():
 
 
 @pytest.mark.parametrize("scale", [1.0 + 2e-10, 1.0 - 2e-10, np.nan])
-def test_encoded_instance_refuses_weights_that_do_not_sum_to_one(scale):
+def test_encoded_instance_refuses_weights_that_do_not_sum_to_one(scale, monkeypatch):
+    # every row built from an amplitude in [0, 1] sums to about 1/N, so a total
+    # below one is reached only through a block builder that scales its weights
     inst = generate("uniform_random", {"n_data": 4}, seed=5)
     out = encode(uniform_superposition(RegisterLayout(4, 3)), inst, AmplitudeEncoder.linear(),
                  JunkPolicy.SPREAD)
-    EncodedInstance(out.layout, out.accept, out.junk_column, out.junk_repeats)
+    EncodedInstance(out.layout, out.a, out.junk_repeats)
+    weights = EncodedInstance.weights
+    monkeypatch.setattr(EncodedInstance, "weights",
+                        lambda self, block: tuple(w * scale for w in weights(self, block)))
     with pytest.raises(DomainError):
-        EncodedInstance(out.layout, out.accept * scale, out.junk_column * scale, out.junk_repeats)
+        EncodedInstance(out.layout, out.a, out.junk_repeats)
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
@@ -174,6 +179,42 @@ def test_encode_weights_are_the_dense_reference_born_grid(junk, n_anc):
         out = encode(uniform_superposition(RegisterLayout(5, n_anc)), inst, enc, junk)
         dense = reference.encode(inst, enc, junk, n_anc)
         assert np.array_equal(born_grid(out), np.square(dense.grid()))
+
+
+def held_arrays(x) -> list:
+    """Every array held in `x`, through tuples and lists."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    return [a for item in x for a in held_arrays(item)] if isinstance(x, (tuple, list)) else []
+
+
+@pytest.mark.parametrize("junk", list(JunkPolicy))
+def test_an_encoded_instance_holds_one_n_array(junk):
+    # the amplitudes; the Born weights are built per block, and only the last block is kept
+    inst = generate("uniform_random", {"n_data": 17}, seed=1)
+    out = encode(uniform_superposition(RegisterLayout(17, 2)), inst, AmplitudeEncoder.linear(),
+                 junk)
+    for block in encoding_module.blocks(inst.size):
+        out.weights(block)
+    held = held_arrays(list(vars(out).values()))
+    big = [x for x in held if x.size >= inst.size]
+    assert len(big) == 1 and big[0] is out.a and out.a.size == inst.size
+    assert sum(x.nbytes for x in held) <= 8 * inst.size + 2 * 8 * encoding_module.BLOCK
+
+
+@pytest.mark.parametrize("n_data", [3, 15, 16, 18])
+def test_columns_and_totals_are_the_whole_column_arithmetic(n_data):
+    # built per block, every weight has the bits of the whole-column arithmetic, and
+    # `totals` are numpy's sums of the whole columns
+    inst = generate("hamming_structured", {"n_data": n_data}, seed=n_data)
+    state = uniform_superposition(RegisterLayout(n_data, 3))
+    for spec in ("cospow:2", "linear", "oracle:4"):
+        enc = AmplitudeEncoder.parse(spec)
+        accept, junk = reference.born_columns(inst, enc, JunkPolicy.SPREAD, 3)
+        out = encode(state, inst, enc, JunkPolicy.SPREAD)
+        assert np.array_equal(out.accept.view(np.uint64), accept.view(np.uint64)), spec
+        assert np.array_equal(out.junk_column.view(np.uint64), junk.view(np.uint64)), spec
+        assert out.totals == (float(accept.sum()), float(junk.sum())), spec
 
 
 BIT_TABLES = {
@@ -371,12 +412,15 @@ def test_encode_drops_the_last_result_before_it_builds_the_next(monkeypatch):
     encode(uniform_superposition(RegisterLayout(3, 3)), inst, AmplitudeEncoder.linear())
 
 
-@pytest.mark.parametrize("shared", ["uniform", "encoded", "costs"])
+@pytest.mark.parametrize("shared", ["uniform", "encoded", "junk", "amplitudes", "costs"])
 def test_shared_arrays_cannot_be_made_writable_again(shared):
+    # the encoded instance shares its amplitudes; its whole columns are built per
+    # read, and read-only all the same
     state, inst = encode_args()
     enc = AmplitudeEncoder.linear()
-    arrays = {"uniform": state.amplitudes, "encoded": encode(state, inst, enc).accept,
-              "costs": inst.costs}
+    out = encode(state, inst, enc)
+    arrays = {"uniform": state.amplitudes, "encoded": out.accept, "junk": out.junk_column,
+              "amplitudes": out.a, "costs": inst.costs}
     x = arrays[shared]
     before = x.copy()
     with pytest.raises(ValueError):
