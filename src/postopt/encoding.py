@@ -8,7 +8,7 @@ isometry on its domain, so the output is again normalized.
 
 `encode` returns that state as an `EncodedInstance`, which keeps the N success
 amplitudes a_k and builds the Born weights of its two distinct ancilla columns
-from them block by block; its 2**(n_data + n_anc) grid is never built.
+anew for each block asked for; it keeps no block, and never builds its grid.
 
 Encoder families, named by their specs (u = cost / c_max after the shift):
 
@@ -164,7 +164,6 @@ class EncodedInstance:
     a: np.ndarray = field(repr=False)
     junk_repeats: int
     totals: tuple[float, float] = field(init=False, repr=False)
-    _last: tuple = field(init=False, repr=False, default=(None, None))  # (block, its weights)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", read_only_view(self.a))
@@ -177,12 +176,8 @@ class EncodedInstance:
             raise DomainError(f"Born weights sum to {total}, not 1 within {NORM_ATOL}")
 
     def weights(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only accept and junk weights of the rows in `block`, built in place in
-        one order whatever the block, so each has the same bits; the last block is kept."""
-        last_block, last_weights = self._last  # read once: another thread may replace it
-        if last_block == block:
-            return last_weights
-        object.__setattr__(self, "_last", (None, None))  # drop the old block before the next
+        """The read-only accept and junk weights of the rows in `block`, built anew on each
+        call, in place in one order whatever the block, so each has the same bits."""
         accept, root_n = self.a[block].copy(), np.sqrt(self.layout.data_dim)  # accept: a_k^2/N
         junk = np.square(accept)
         np.sqrt(np.clip(np.subtract(1.0, junk, out=junk), 0.0, None, out=junk), out=junk)
@@ -191,14 +186,7 @@ class EncodedInstance:
         np.square(junk, out=junk)
         np.square(np.divide(accept, root_n, out=accept), out=accept)
         accept.flags.writeable = junk.flags.writeable = False
-        object.__setattr__(self, "_last", (block, (accept, junk)))
-        return accept, junk
-
-    accept = property(lambda self: self._column(0), doc="The whole accept column, read-only.")
-    junk_column = property(lambda self: self._column(1), doc="One whole junk column, read-only.")
-
-    def _column(self, which: int) -> np.ndarray:
-        return read_only_view(np.concatenate([self.weights(b)[which] for b in blocks(self.a.size)]))
+        return read_only_view(accept), read_only_view(junk)
 
     @functools.cached_property
     def sampling_tables(self) -> tuple[np.ndarray, np.ndarray | None]:

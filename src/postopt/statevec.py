@@ -7,13 +7,11 @@ Basis-state indexing packs both registers into one integer::
 so ``amplitudes.reshape(2**n_data, 2**n_anc)[k, a]`` is the amplitude of
 |k, a>.  Post-selection on an ancilla outcome is then a strided slice.
 
-The production path builds no dense state but the uniform one: a verify
-holds the cost table, the N success amplitudes that `encoding.encode` keeps
-and O(block) temporaries, as `algorithm` reads their Born weights block by
-block.  The measurement functions here -- `marginal_*`, `postselect`,
-`joint_distribution` -- take the long way through explicit conditional
-states and outcome distributions; the tests compare `algorithm` against them
-on a dense encoded state.
+The production path builds no dense state but the uniform one: `algorithm`
+walks the Born weights of the N success amplitudes `encoding.encode` keeps
+once per record, block by block.  The measurement functions here --
+`marginal_*`, `postselect`, `joint_distribution` -- measure a dense encoded
+state the long way, and the tests hold `algorithm` to them.
 
 A state's dtype follows its amplitudes: complex input is stored as
 complex128, anything else as float64.  The uniform state is one ancilla row

@@ -2,7 +2,8 @@
 
 `instance_amplitudes` and `born_columns` are the out-of-place arithmetic of
 `encoding.instance_amplitudes` and `encoding.encode`, one temporary per
-operation; production builds the same bits in place.  `encode` builds the
+operation; production builds the same bits in place, and `columns` joins
+its block weights into whole columns to compare.  `encode` builds the
 whole (2**n_data, 2**n_anc) amplitude grid of the encoded state, as a
 `statevec.StateVector`, so that the `statevec` measurement functions can
 measure it the long way.  The production path holds only the
@@ -18,7 +19,7 @@ import numpy as np
 
 from postopt.algorithm import RunConfig, TrialStats
 from postopt.costfn import CostInstance
-from postopt.encoding import AmplitudeEncoder, JunkPolicy
+from postopt.encoding import AmplitudeEncoder, EncodedInstance, JunkPolicy, blocks
 from postopt.errors import DomainError
 from postopt.statevec import OutcomeDistribution, RegisterLayout, StateVector
 
@@ -40,7 +41,7 @@ def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np
 
 def born_columns(instance: CostInstance, encoder: AmplitudeEncoder, junk: JunkPolicy,
                  n_anc: int) -> tuple[np.ndarray, np.ndarray]:
-    """`accept` and `junk_column` of the encoded instance, one new array per operation."""
+    """The accept and junk columns of the encoded instance, one new array per operation."""
     layout = RegisterLayout(instance.n_data, n_anc)
     amps = instance_amplitudes(encoder, instance)
     root_n = np.sqrt(layout.data_dim)
@@ -48,6 +49,12 @@ def born_columns(instance: CostInstance, encoder: AmplitudeEncoder, junk: JunkPo
     if junk == JunkPolicy.SPREAD:
         junk_column /= np.sqrt(layout.anc_dim - 1)
     return np.square(amps / root_n), np.square(junk_column)
+
+
+def columns(encoded: EncodedInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The whole accept and junk columns of a production encoding, its block weights joined."""
+    parts = [encoded.weights(block) for block in blocks(encoded.a.size)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def encode(instance: CostInstance, encoder: AmplitudeEncoder,

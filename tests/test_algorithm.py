@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -110,7 +112,8 @@ def test_exact_analysis_undefined_conditional():
 def test_per_state_product_identity_is_exactly_one_over_n():
     inst = demo()
     config = RunConfig(c_tol=3.0, encoder=IDENTITY)
-    products = encoded_state(inst, config).accept  # p_first * p(k | accept) = a_k^2 / N
+    # p_first * p(k | accept) = a_k^2 / N
+    products = reference.columns(encoded_state(inst, config))[0]
     for k in range(inst.size):
         assert abs(products[k] - 1 / 8) <= 1e-12
     assert abs(exact_analysis(inst, config).max_per_state_product - 1 / 8) <= 1e-12
@@ -119,7 +122,7 @@ def test_per_state_product_identity_is_exactly_one_over_n():
 def test_per_state_product_oracle_zero_above_threshold():
     inst = demo()
     config = RunConfig(c_tol=3.0, encoder=AmplitudeEncoder.oracle_threshold(3.0))
-    products = encoded_state(inst, config).accept
+    products = reference.columns(encoded_state(inst, config))[0]
     assert products[5] == 0.0  # cost 9 >= 3
     assert products[1] == pytest.approx(1 / 8, abs=1e-12)
 
@@ -127,7 +130,7 @@ def test_per_state_product_oracle_zero_above_threshold():
 def test_per_state_product_cosine_hand_case():
     inst = generate("explicit", {"costs": [1.0, 2.0]})
     config = RunConfig(c_tol=1.5, encoder=COSPOW1)
-    assert encoded_state(inst, config).accept[0] == pytest.approx(0.25, abs=1e-12)
+    assert reference.columns(encoded_state(inst, config))[0][0] == pytest.approx(0.25, abs=1e-12)
     assert exact_analysis(inst, config).max_per_state_product == pytest.approx(0.25, abs=1e-12)
 
 
@@ -136,7 +139,7 @@ def test_per_state_products_match_amplitude_oracle():
     for inst, config in random_configurations(25, seed=101):
         ana = exact_analysis(inst, config)
         direct = instance_amplitudes(config.encoder, inst) ** 2 / inst.size
-        assert np.allclose(encoded_state(inst, config).accept, direct, atol=1e-12)
+        assert np.allclose(reference.columns(encoded_state(inst, config))[0], direct, atol=1e-12)
         assert abs(ana.max_per_state_product - direct.max()) <= 1e-12
 
 
@@ -206,7 +209,7 @@ def test_bound_and_junk_independence_hold_for_random_configurations(case):
     assert concentrated.max_per_state_product <= 1 / concentrated.n + 1e-9
     assert abs(concentrated.p_first - spread.p_first) <= 1e-12
     assert abs(concentrated.p_joint - spread.p_joint) <= 1e-12
-    products = [encoded_state(inst, config).accept for config in configs]
+    products = [reference.columns(encoded_state(inst, config))[0] for config in configs]
     assert np.abs(products[0] - products[1]).max() <= 1e-12
     assert abs(concentrated.max_per_state_product - spread.max_per_state_product) <= 1e-12
     # criterion 3: the oracle at c_tol reaches the ceiling, negative costs included
@@ -322,6 +325,56 @@ def test_a_multi_block_record_matches_the_whole_column_arithmetic(n_data, spec, 
         assert abs(record[name] - value) <= 1e-12, name
 
 
+def test_a_multi_block_record_builds_each_blocks_weights_twice(monkeypatch):
+    # once when the encoded instance sums its columns, once in the walk the three
+    # exact checks share
+    built = []
+    weights = encoding.EncodedInstance.weights
+
+    def counted(self, block):
+        built.append(block.start)
+        return weights(self, block)
+
+    monkeypatch.setattr(encoding.EncodedInstance, "weights", counted)
+    inst = generate("uniform_random", {"n_data": 17}, seed=5)
+    config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.linear(), junk=JunkPolicy.SPREAD, n_anc=2)
+    assert check_configuration(inst, config, "k", {})["ok"]
+    starts = range(0, inst.size, encoding.BLOCK)
+    assert len(starts) == 4 and sorted(built) == sorted([*starts, *starts])
+
+
+def test_the_checks_keep_no_encoding_alive():
+    inst = generate("uniform_random", {"n_data": 5}, seed=6)
+    config = RunConfig(c_tol=0.4, encoder=AmplitudeEncoder.cosine_power(2))
+    for check in (exact_analysis, chain_decomposition, sequential_vs_joint_check):
+        check(inst, config)
+    last = weakref.ref(encoded_state(inst, config))
+    exact_analysis(inst, replace(config, n_anc=2))  # the next configuration
+    gc.collect()
+    assert last() is None
+
+
+def test_each_check_returns_a_fresh_runs_bits_whatever_ran_before():
+    # two c_tol values alternate on one encoded instance; each check runs first
+    # (its memo entry is for the other c_tol) and after the other two
+    inst = generate("hamming_structured", {"n_data": 16}, seed=3)
+    configs = [RunConfig(c_tol=float(np.quantile(inst.costs, q)), encoder=AmplitudeEncoder.linear(),
+                         junk=JunkPolicy.SPREAD, n_anc=2) for q in (0.2, 0.7)]
+    checks = [exact_analysis, chain_decomposition, sequential_vs_joint_check]
+
+    def fresh(check, config):
+        encoding._last_encoding = algorithm._last_checks = None
+        return repr(check(inst, config))
+
+    want = {(check, config): fresh(check, config) for check in checks for config in configs}
+    encoded = encoded_state(inst, configs[0])
+    for first in range(len(checks)):
+        for config in configs:
+            for check in checks[first:] + checks[:first]:
+                assert repr(check(inst, config)) == want[check, config], check.__name__
+    assert encoded_state(inst, configs[1]) is encoded
+
+
 # ---------------------------------------------------------------------------
 # sequential vs joint
 
@@ -387,7 +440,8 @@ def assert_matches_reference(inst, config):
 
     assert abs(ana.p_first - ref["p_first"]) <= 1e-12
     assert abs(ana.p_joint - ref["p_joint"]) <= 1e-12
-    assert np.allclose(encoded_state(inst, config).accept, ref["products"], rtol=0, atol=1e-12)
+    products = reference.columns(encoded_state(inst, config))[0]
+    assert np.allclose(products, ref["products"], rtol=0, atol=1e-12)
     assert abs(ana.max_per_state_product - ref["products"].max()) <= 1e-12
     assert abs(chain.direct - ref["direct"]) <= 1e-12
     for got, want in ((ana.p_cond, ref["p_cond"]), (chain.via_ancilla, ref["via_ancilla"]),
@@ -608,8 +662,8 @@ def test_permuting_the_data_permutes_accept_and_keeps_the_probabilities(case, ju
     config = RunConfig(c_tol=c_tol, encoder=encoder, junk=junk, n_anc=n_anc)
     perm = np.random.default_rng(seed).permutation(inst.size)
     shuffled = CostInstance(inst.n_data, inst.costs[perm])
-    accept = encoded_state(inst, config).accept[perm]
-    assert encoded_state(shuffled, config).accept.tobytes() == accept.tobytes()
+    accept = reference.columns(encoded_state(inst, config))[0][perm]
+    assert reference.columns(encoded_state(shuffled, config))[0].tobytes() == accept.tobytes()
     before, after = exact_analysis(inst, config), exact_analysis(shuffled, config)
     assert before.m == after.m
     assert abs(before.p_first - after.p_first) <= 1e-12

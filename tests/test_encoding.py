@@ -37,8 +37,9 @@ def encoded(costs, encoder, junk=JunkPolicy.CONCENTRATED, n_anc=1):
 def born_grid(state):
     """The production encoding's Born weights, in the dense grid's layout."""
     grid = np.zeros((state.layout.data_dim, state.layout.anc_dim))
-    grid[:, 0] = state.accept
-    grid[:, 1:1 + state.junk_repeats] = state.junk_column[:, None]
+    accept, junk = reference.columns(state)
+    grid[:, 0] = accept
+    grid[:, 1:1 + state.junk_repeats] = junk[:, None]
     return grid
 
 
@@ -212,8 +213,9 @@ def test_columns_and_totals_are_the_whole_column_arithmetic(n_data):
         enc = AmplitudeEncoder.parse(spec)
         accept, junk = reference.born_columns(inst, enc, JunkPolicy.SPREAD, 3)
         out = encode(state, inst, enc, JunkPolicy.SPREAD)
-        assert np.array_equal(out.accept.view(np.uint64), accept.view(np.uint64)), spec
-        assert np.array_equal(out.junk_column.view(np.uint64), junk.view(np.uint64)), spec
+        got_accept, got_junk = reference.columns(out)
+        assert np.array_equal(got_accept.view(np.uint64), accept.view(np.uint64)), spec
+        assert np.array_equal(got_junk.view(np.uint64), junk.view(np.uint64)), spec
         assert out.totals == (float(accept.sum()), float(junk.sum())), spec
 
 
@@ -239,7 +241,7 @@ def test_in_place_encoding_is_bit_identical_to_the_out_of_place_reference(table,
         want_accept, want_junk = reference.born_columns(inst, enc, junk, n_anc)
         pairs = [(instance_amplitudes(enc, inst), reference.instance_amplitudes(enc, inst))]
         out = encode(state, inst, enc, junk)
-        pairs += [(out.accept, want_accept), (out.junk_column, want_junk)]
+        pairs += zip(reference.columns(out), (want_accept, want_junk))
         for got, want in pairs:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), spec
 
@@ -338,7 +340,7 @@ def test_encode_takes_a_uniform_state_built_before_another_layouts():
     inst = generate("uniform_random", {"n_data": 3}, seed=4)
     encoded = encode(state, inst, AmplitudeEncoder.identity())
     assert encoded.layout == RegisterLayout(3, 1)
-    assert np.abs(encoded.accept - 1 / 8).max() <= 1e-12  # identity: every state accepts
+    assert np.abs(reference.columns(encoded)[0] - 1 / 8).max() <= 1e-12  # identity: every state accepts
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
@@ -414,12 +416,13 @@ def test_encode_drops_the_last_result_before_it_builds_the_next(monkeypatch):
 
 @pytest.mark.parametrize("shared", ["uniform", "encoded", "junk", "amplitudes", "costs"])
 def test_shared_arrays_cannot_be_made_writable_again(shared):
-    # the encoded instance shares its amplitudes; its whole columns are built per
-    # read, and read-only all the same
+    # the encoded instance shares its amplitudes; its block weights are built per
+    # call, and read-only all the same
     state, inst = encode_args()
     enc = AmplitudeEncoder.linear()
     out = encode(state, inst, enc)
-    arrays = {"uniform": state.amplitudes, "encoded": out.accept, "junk": out.junk_column,
+    accept, junk = out.weights(next(encoding_module.blocks(inst.size)))
+    arrays = {"uniform": state.amplitudes, "encoded": accept, "junk": junk,
               "amplitudes": out.a, "costs": inst.costs}
     x = arrays[shared]
     before = x.copy()
