@@ -164,6 +164,7 @@ def _checks(instance: CostInstance, config: RunConfig) -> tuple[ExactAnalysis, C
         else:  # the product is a_k^2/N itself, and the column rebuilds as 0
             max_product = max(max_product, float(acc.max()))
         distance += float(np.abs(part if accepts else acc, out=part).sum())
+        del low, acc, junk, rows, part  # so the next block's arrays are built with none held
     for term in tv_junk:
         distance += term
     p_joint = p_first * p_cond if accepts else 0.0  # also p(A|B) p(B), the via-ancilla route
@@ -217,16 +218,16 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     repeat-until-success episodes); `first_hit_preparation` records when the
     first episode would have stopped.  Deterministic for a fixed seed.
 
-    Repeats on one encoded instance share its two sampling tables, built on
-    the first repeat, and draw from them what `rng.choice` with the same `p`
-    would draw: the ancilla outcomes, then the data outcomes of the accepted
-    preparations.
+    Repeats on one encoded instance share its sampling tables, built on the
+    first repeat, and draw what `rng.choice` with the same `p` would draw: a
+    preparation is accepted when its uniform draw is below the threshold, and
+    the accepted ones draw their data outcomes from the data CDF.
     """
-    anc_cdf, data_cdf = encoded_state(instance, config).sampling_tables
+    threshold, data_cdf = encoded_state(instance, config).sampling_tables
     rng = np.random.default_rng(config.seed)
     budget = config.max_preparations
 
-    accepted_at = np.nonzero(_draw(anc_cdf, rng, budget) == 0)[0]
+    accepted_at = np.nonzero(rng.random(budget) < threshold)[0]
 
     hits = np.zeros(0, dtype=bool)
     if accepted_at.size:

@@ -7,8 +7,9 @@ onto nonzero ancilla outcomes according to the junk policy.  The map is an
 isometry on its domain, so the output is again normalized.
 
 `encode` returns that state as an `EncodedInstance`, which keeps the N success
-amplitudes a_k and builds the Born weights of its two distinct ancilla columns
-anew for each block asked for; it keeps no block, and never builds its grid.
+amplitudes a_k and the sums of its two distinct ancilla columns, builds their
+Born weights anew for each block asked for, and keeps no block; its sampling
+tables read a_k and the sums alone.  It never builds its grid.
 
 Encoder families, named by their specs (u = cost / c_max after the shift):
 
@@ -189,24 +190,20 @@ class EncodedInstance:
         return read_only_view(accept), read_only_view(junk)
 
     @functools.cached_property
-    def sampling_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The ancilla CDF and the post-selected data CDF, built on first use.
+    def sampling_tables(self) -> tuple[float, np.ndarray | None]:
+        """The acceptance threshold and the post-selected data CDF, built on first use.
 
-        Their `p` vectors round as the dense grid's column sums, taken row by
-        row as numpy sums an (N, 2) stack, and its renormalized column 0 do, so
-        the draws equal `rng.choice` draws on that grid.  The data table is
-        None when no draw can accept.
+        A draw u = rng.random() reads ancilla 0...0 exactly when u < threshold, the first
+        entry of the table `rng.choice` builds from the column sums `totals`.  The data
+        CDF renormalizes a_k^2/N, built as `weights` builds it, so its draws are those of
+        `rng.choice` too; it is None when no draw can accept.
         """
-        sums, data_p = np.zeros(2), np.empty(self.a.size)
-        for block in blocks(self.a.size):
-            accept, junk_column = self.weights(block)
-            data_p[block] = accept
-            sums = np.vstack([sums, np.stack([accept, junk_column], axis=1)]).sum(0)
-        anc = np.zeros(self.layout.anc_dim)
-        anc[0], anc[1:1 + self.junk_repeats] = sums
-        accept_sum = self.totals[0]
+        anc, accept_sum = np.zeros(self.layout.anc_dim), self.totals[0]
+        anc[0], anc[1:1 + self.junk_repeats] = self.totals
+        data_p = np.divide(self.a, np.sqrt(self.layout.data_dim))
+        np.square(data_p, out=data_p)
         data_cdf = _choice_cdf(np.divide(data_p, accept_sum, out=data_p)) if accept_sum > 0 else None
-        return _choice_cdf(anc / anc.sum()), data_cdf
+        return float(_choice_cdf(anc / anc.sum())[0]), data_cdf
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:

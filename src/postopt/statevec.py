@@ -42,7 +42,7 @@ from .errors import CapacityError, DomainError, ImpossibleOutcomeError
 NORM_ATOL = 1e-10
 EPS_PROB = 1e-12
 
-DEFAULT_QUBIT_CAP = 24  # 2**24 real amplitudes = 128 MiB per state, the desk-scale limit
+DEFAULT_QUBIT_CAP = 24  # bounds the uniform row, the ancilla vector and the tests' dense reference
 
 DATA = "data"
 ANCILLA = "ancilla"

@@ -82,10 +82,12 @@ def encoded_state(instance: CostInstance, config: RunConfig) -> StateVector:
 def choice_p(instance: CostInstance, config: RunConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """The `p` of each draw: the grid's column sums, then its column 0, normalized.
 
-    The second is None when column 0 has no weight.
+    Each column is summed on its own, as numpy's pairwise `sum` takes a whole
+    column, the order `EncodedInstance.totals` keeps.  The second is None when
+    column 0 has no weight.
     """
     probs = np.square(encoded_state(instance, config).grid())
-    anc, accept = probs.sum(0), probs[:, 0]
+    anc, accept = np.array([column.sum() for column in probs.T]), probs[:, 0]
     return anc / anc.sum(), accept / accept.sum() if accept.sum() > 0 else None
 
 

@@ -3,8 +3,12 @@ import contextlib
 import errno
 import hashlib
 import json
+import os
+import stat
+import threading
 import tracemalloc
 import weakref
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -291,7 +295,24 @@ def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, 
     assert len(builds) == 2  # the ancilla table and the post-selected data table
 
 
-def test_one_verify_record_holds_one_real_grid_and_five_blocks():
+def test_postselect_compare_builds_each_blocks_weights_twice(tmp_path, monkeypatch):
+    # once when the encoded instance sums its columns, once in the walk the exact
+    # checks share; the sampler reads those sums and the amplitudes, and no block
+    import postopt.encoding as encoding
+
+    built = []
+    weights = encoding.EncodedInstance.weights
+    monkeypatch.setattr(encoding.EncodedInstance, "weights",
+                        lambda self, block: built.append(block.start) or weights(self, block))
+    path = tmp_path / "inst.txt"
+    save_instance(generate("uniform_random", {"n_data": 17}, seed=5), path)
+    assert main(["compare", str(path), "--c-tol", "0.3", "--strategy", "postselect",
+                 "--repeats", "1", "--budget", "200"]) == 0
+    starts = range(0, 1 << 17, BLOCK)
+    assert len(starts) == 4 and sorted(built) == sorted([*starts, *starts])
+
+
+def test_one_verify_record_holds_one_real_grid_and_four_blocks():
     # the amplitudes a, the encoder's endpoint mask, and O(block) temporaries: the
     # walk holds one block's two weight columns and two temporaries, as the row
     # sums and conditionals are built in place; the uniform state is one ancilla
@@ -307,7 +328,7 @@ def test_one_verify_record_holds_one_real_grid_and_five_blocks():
     finally:
         tracemalloc.stop()
     assert inst.size > 4 * BLOCK
-    assert peak <= 9 * inst.size + 5 * 8 * BLOCK
+    assert peak <= 9 * inst.size + 4 * 8 * BLOCK
 
 
 @st.composite
@@ -513,6 +534,37 @@ def test_a_report_write_that_fails_partway_leaves_the_old_report(argv, tmp_path,
     assert list(tmp_path.glob(".postopt-*.tmp")) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "uniform_random", "--n", "6", "--seed", "2"],
+    ["verify", "{demo}", "--c-tol", "3"],
+], ids=["generate", "verify"])
+def test_a_fifo_out_is_written_in_place(argv, tmp_path, monkeypatch):
+    # a target that is no regular file is written in place, never replaced; a FIFO
+    # under tmp_path, not /dev/null, so that a broken branch replaces nothing else
+    import postopt.cli as cli
+
+    class Frozen(datetime):  # one timestamp, so the two reports match byte for byte
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2020, 1, 1, tzinfo=tz)
+
+    monkeypatch.setattr(cli, "datetime", Frozen)
+    argv = [arg.format(demo=write_demo(tmp_path)) for arg in argv]
+    regular, fifo = tmp_path / "regular.txt", tmp_path / "fifo.txt"
+    assert main([*argv, "-o", str(regular)]) == 0
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main([*argv, "-o", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert read == [regular.read_bytes()]
+    assert list(tmp_path.glob(".postopt-*.tmp")) == []
+
+
 def test_a_report_adds_no_copy_of_the_sweep(tmp_path):
     # a report joined into one string before it is written holds every record twice
     report = ["-o", str(tmp_path / "report.jsonl")]
@@ -645,6 +697,11 @@ MALFORMED_ARGV = {
                               "--seed", "-1"],
     # an empty list shifted by -1 in the power-of-two check, a ValueError with exit 1
     "generate_explicit_empty": ["generate", "--kind", "explicit", "--costs", ",", "-o", "{out}"],
+    # a token float() refuses is named with its flag
+    "generate_explicit_not_a_number": ["generate", "--kind", "explicit", "--costs", "1,x",
+                                       "-o", "{out}"],
+    "generate_weights_not_a_number": ["generate", "--kind", "number_partition", "--weights",
+                                      "2,y", "-o", "{out}"],
     # costs -1e308 and 1e308: shifting them overflowed, and the Born weights summed to nan
     "verify_linear_span_overflows": ["verify", "{wide_text}", "--encoder", "linear",
                                      "--c-tol", "0"],
