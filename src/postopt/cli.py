@@ -293,6 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--n must lie in [1, {TABLE_N_MAX}]")
         if args.sweep > SWEEP_MAX:
             raise ConfigurationError(f"--sweep {args.sweep} exceeds the cap of {SWEEP_MAX}")
+        configurations = lambda: sweep_configurations(args.sweep, seed, n_max)
     else:
         _refuse_unread(args, ("n", "seed"), "with an instance file")
         if args.c_tol is None:
@@ -304,15 +305,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                f"anc{config.n_anc}/ctol{args.c_tol:.6g}")
         desc = {"instance_kind": "file", "instance_seed": None,
                 "instance_params": json.dumps({"path": args.instance}), "n_data": instance.n_data}
-        configurations = [(key, instance, config, desc)]
-    # the report is opened before any work, so a bad -o exits 2 at once
+        configurations = lambda: [(key, instance, config, desc)]
+    # the report is opened before any configuration is drawn, so a bad -o exits 2 at once
     with replacing(args.out) if args.out else contextlib.nullcontext() as out:
-        if args.sweep is not None:
-            configurations = sweep_configurations(args.sweep, seed, n_max)
         # each table is checked as it is drawn and then dropped; the stable sort by key
         # keeps draw order among equal keys
         records = sorted((check_configuration(inst, cfg, key, desc) for key, inst, cfg, desc
-                          in configurations), key=lambda record: record["key"])
+                          in configurations()), key=lambda record: record["key"])
         _write_report(out, "verify", seed, records)
     _print_verify_table(records)
 

@@ -177,8 +177,8 @@ class EncodedInstance:
             raise DomainError(f"Born weights sum to {total}, not 1 within {NORM_ATOL}")
 
     def weights(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only accept and junk weights of the rows in `block`, built anew on each
-        call, in place in one order whatever the block, so each has the same bits."""
+        """The accept and junk weights of the rows in `block`, two new arrays on each call,
+        built in place in one order whatever the block, so each has the same bits."""
         accept, root_n = self.a[block].copy(), np.sqrt(self.layout.data_dim)  # accept: a_k^2/N
         junk = np.square(accept)
         np.sqrt(np.clip(np.subtract(1.0, junk, out=junk), 0.0, None, out=junk), out=junk)
@@ -186,8 +186,7 @@ class EncodedInstance:
         junk /= np.sqrt(self.junk_repeats)  # exact for one repeat
         np.square(junk, out=junk)
         np.square(np.divide(accept, root_n, out=accept), out=accept)
-        accept.flags.writeable = junk.flags.writeable = False
-        return read_only_view(accept), read_only_view(junk)
+        return accept, junk
 
     @functools.cached_property
     def sampling_tables(self) -> tuple[float, np.ndarray | None]:

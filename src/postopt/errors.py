@@ -13,9 +13,5 @@ class DomainError(PostoptError):
     """An argument lies outside its valid range (index, outcome, cost, ...)."""
 
 
-class ImpossibleOutcomeError(PostoptError):
-    """Post-selection on an outcome whose probability is numerically zero."""
-
-
 class ConfigurationError(PostoptError):
     """Inconsistent layouts or invalid generator/encoder parameters."""

@@ -8,33 +8,29 @@ so ``amplitudes.reshape(2**n_data, 2**n_anc)[k, a]`` is the amplitude of
 |k, a>.  Post-selection on an ancilla outcome is then a strided slice.
 
 The production path builds no dense state but the uniform one: `algorithm`
-walks the Born weights of the N success amplitudes `encoding.encode` keeps
-once per record, block by block.  The measurement functions here --
-`marginal_*`, `postselect`, `joint_distribution` -- measure a dense encoded
-state the long way, and the tests hold `algorithm` to them.
+walks the Born weights of the N success amplitudes that `encoding.encode`
+keeps.  The measurement functions here -- `marginal_*`, `postselect`,
+`joint_distribution` -- measure a dense encoded state the long way, and the
+tests hold `algorithm` to them.  They return floats, new float arrays of
+probabilities, or new states.
 
 A state's dtype follows its amplitudes: complex input is stored as
-complex128, anything else as float64.  The uniform state is one ancilla row
-[1/sqrt(N), 0, ..., 0] broadcast over the N data rows, 8 * 2**n_anc bytes.
-
-All operations are pure: they never mutate their inputs, and a constructor
-copies a writable input array rather than freeze the caller's.  Amplitude
-arrays are read-only views, so states can be shared across concurrent tasks.
-The views guard against accidental writes only: ``x.base.obj`` still reaches
-the owning array, which numpy lets a caller mark writable again.
-`uniform_superposition` keeps one uniform state per layout, so the calls for
-a layout share one object, and `encoding.encode` takes that object by
-identity and keeps it as the key of its last result.
+complex128, anything else as float64.  No operation mutates its inputs.  A
+state's amplitudes are a read-only view, and a constructor copies a writable
+input array rather than freeze the caller's.  `uniform_superposition` keeps
+one uniform state per layout, one ancilla row [1/sqrt(N), 0, ..., 0]
+broadcast over the N data rows, and `encoding.encode` takes that object by
+identity.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ImpossibleOutcomeError
+from .errors import CapacityError, DomainError
 
 # Tolerance ladder used across the package: algebraic identities at 1e-12,
 # normalization checks at 1e-10, and an outcome with probability <= EPS_PROB
@@ -53,11 +49,11 @@ def read_only_view(a: np.ndarray) -> np.ndarray:
 
     A writable `a` is copied, so the caller's array stays as it was and its
     later writes never reach the view.  A read-only `a` is kept without a
-    copy; `uniform_superposition` and `encode` hand over their grids so.  The
-    view's base is a read-only memoryview, so neither setting the view's
-    `flags.writeable` nor writing through `.base` succeeds.  This guards
-    against accidental writes only: `.base.obj` is the array kept, which a
-    caller can still mark writable again.
+    copy; `uniform_superposition` hands over its ancilla row so, and `encode`
+    its success amplitudes `a`.  The view's base is a read-only memoryview, so
+    neither setting the view's `flags.writeable` nor writing through `.base`
+    succeeds.  This guards against accidental writes only: `.base.obj` is the
+    array kept, which a caller can still mark writable again.
     """
     if a.flags.writeable:
         a = a.copy()
@@ -143,29 +139,6 @@ class StateVector:
         return self._grid
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probability of each outcome of one register (or of the composite index)."""
-
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.min(initial=0.0) < -1e-15:
-            raise DomainError(f"negative probability {probs.min()}")
-        total = probs.sum()
-        if not abs(total - 1.0) <= NORM_ATOL:
-            raise DomainError(f"probabilities sum to {total}, not 1")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-    def __getitem__(self, outcome: int) -> float:
-        return float(self.probs[outcome])
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
 @functools.lru_cache(maxsize=None)
 def uniform_superposition(layout: RegisterLayout) -> StateVector:
     """Equal-amplitude superposition 1/sqrt(N) over all data states, ancilla at 0.
@@ -199,13 +172,11 @@ def marginal_probability(state: StateVector, register: str, outcome: int) -> flo
     return float(sq.sum())
 
 
-def marginal_distribution(state: StateVector, register: str) -> OutcomeDistribution:
-    """Full outcome distribution of one register."""
-    grid = np.abs(state.grid()) ** 2
-    axis = 1 if register == DATA else 0
+def marginal_distribution(state: StateVector, register: str) -> np.ndarray:
+    """Outcome probabilities of one register, the other summed out, as a new float array."""
     if register not in (DATA, ANCILLA):
         raise DomainError(f"unknown register {register!r}")
-    return OutcomeDistribution(grid.sum(axis=axis))
+    return (np.abs(state.grid()) ** 2).sum(axis=1 if register == DATA else 0)
 
 
 def postselect(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
@@ -215,12 +186,12 @@ def postselect(state: StateVector, register: str, outcome: int) -> tuple[float, 
     conditional state (amplitudes inconsistent with the outcome zeroed).
 
     Raises:
-        ImpossibleOutcomeError: outcome probability <= EPS_PROB; the conditional
-            state is undefined.
+        DomainError: outcome probability <= EPS_PROB; the conditional state is
+            undefined.
     """
     prob = marginal_probability(state, register, outcome)
     if prob <= EPS_PROB:
-        raise ImpossibleOutcomeError(
+        raise DomainError(
             f"{register}={outcome} has probability {prob} <= {EPS_PROB}; cannot post-select"
         )
     grid = np.zeros((state.layout.data_dim, state.layout.anc_dim), dtype=state.grid().dtype)
@@ -232,7 +203,6 @@ def postselect(state: StateVector, register: str, outcome: int) -> tuple[float, 
     return prob, StateVector(state.layout, grid.reshape(-1))
 
 
-def joint_distribution(state: StateVector) -> OutcomeDistribution:
-    """Born-rule distribution over composite indices (data << n_anc) | anc."""
-    return OutcomeDistribution(np.abs(state.amplitudes) ** 2)
-
+def joint_distribution(state: StateVector) -> np.ndarray:
+    """Born-rule probabilities over composite indices (data << n_anc) | anc, as a new array."""
+    return np.abs(state.amplitudes) ** 2

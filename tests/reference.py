@@ -21,7 +21,7 @@ from postopt.algorithm import RunConfig, TrialStats
 from postopt.costfn import CostInstance
 from postopt.encoding import AmplitudeEncoder, EncodedInstance, JunkPolicy, blocks
 from postopt.errors import DomainError
-from postopt.statevec import OutcomeDistribution, RegisterLayout, StateVector
+from postopt.statevec import RegisterLayout, StateVector
 
 
 def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
@@ -105,11 +105,11 @@ def run_repeat_until_success(instance: CostInstance, config: RunConfig) -> Trial
     return TrialStats(budget, int(accepted_at.size), n_hits, n_hits / budget, first_hit)
 
 
-def total_variation(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
-    """Half the L1 distance; 0 means statistically indistinguishable."""
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """Half the L1 distance between two probability arrays; 0 means indistinguishable."""
     if len(p) != len(q):
         raise DomainError("distributions live on different outcome sets")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    return 0.5 * float(np.abs(p - q).sum())
 
 
 def grover_state(instance: CostInstance, c_tol: float, iterations: int) -> np.ndarray:

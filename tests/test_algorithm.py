@@ -28,7 +28,7 @@ from postopt.statevec import (
     ANCILLA,
     DATA,
     EPS_PROB,
-    OutcomeDistribution,
+    NORM_ATOL,
     joint_distribution,
     marginal_distribution,
     marginal_probability,
@@ -399,12 +399,12 @@ def reference_quantities(inst, config):
     low = inst.costs < config.c_tol
     joint = joint_distribution(state)
     ref = {"p_first": marginal_probability(state, ANCILLA, 0),
-           "direct": float(joint.probs[np.nonzero(low)[0] << layout.n_anc].sum()),
+           "direct": float(joint[np.nonzero(low)[0] << layout.n_anc].sum()),
            "p_cond": None, "via_ancilla": None, "via_cost": None, "p_b_given_a": None,
-           "products": joint.probs[np.arange(layout.data_dim) << layout.n_anc]}
+           "products": joint[np.arange(layout.data_dim) << layout.n_anc]}
     if ref["p_first"] > EPS_PROB:
         _, cond = postselect(state, ANCILLA, 0)
-        cond_data = marginal_distribution(cond, DATA).probs
+        cond_data = marginal_distribution(cond, DATA)
         ref["p_cond"] = float(cond_data[low].sum())
         ref["products"] = ref["p_first"] * cond_data
         ref["via_ancilla"] = ref["p_cond"] * ref["p_first"]
@@ -427,8 +427,9 @@ def reference_quantities(inst, config):
         if p_a > EPS_PROB:
             _, cond = postselect(state, ANCILLA, a)
             rebuilt[(np.arange(layout.data_dim) << layout.n_anc) | a] = (
-                p_a * marginal_distribution(cond, DATA).probs)
-    ref["tv"] = reference.total_variation(joint, OutcomeDistribution(rebuilt))
+                p_a * marginal_distribution(cond, DATA))
+    assert rebuilt.min() >= 0.0 and abs(rebuilt.sum() - 1.0) <= NORM_ATOL
+    ref["tv"] = reference.total_variation(joint, rebuilt)
     return ref
 
 

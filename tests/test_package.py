@@ -30,8 +30,8 @@ PUBLIC = {
 
 # The dense reference the tests hold production to; no production module may use it,
 # nor read a dense state's Born grid
-REFERENCE = {"OutcomeDistribution", "marginal_probability", "marginal_distribution",
-             "postselect", "joint_distribution", "grover_state", "grid"}
+REFERENCE = {"marginal_probability", "marginal_distribution", "postselect", "joint_distribution",
+             "grover_state", "grid"}
 PRODUCTION = ("algorithm", "baselines", "cli", "costfn", "encoding")
 
 # The `statevec` measurement functions that the benchmark's tracer wraps by name; only
