@@ -6,10 +6,10 @@ amplitude assigned to cost C(k), and routes the leftover sqrt(1 - a_k^2)/sqrt(N)
 onto nonzero ancilla outcomes according to the junk policy.  The map is an
 isometry on its domain, so the output is again normalized.
 
-`encode` returns that state as an `EncodedInstance`, which keeps the N success
-amplitudes a_k and the sums of its two distinct ancilla columns, builds their
-Born weights anew for each block asked for, and keeps no block; its sampling
-tables read a_k and the sums alone.  It never builds its grid.
+`encode` returns that state as an `EncodedInstance`, which keeps the sums of
+its two distinct ancilla columns and no array of N entries: it builds a
+block's success amplitudes a_k from the block's costs, and their Born weights,
+anew for each block asked for.  It never builds its grid.
 
 Encoder families, named by their specs (u = cost / c_max after the shift):
 
@@ -112,19 +112,20 @@ def shifted_span(encoder: AmplitudeEncoder, instance: CostInstance) -> tuple[flo
     return low, c_max
 
 
-def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance) -> np.ndarray:
-    """Success amplitude for every state of an instance.
+def instance_amplitudes(encoder: AmplitudeEncoder, instance: CostInstance,
+                        block: slice = slice(None), span: tuple[float, float] | None = None) -> np.ndarray:
+    """Success amplitude for every state of an instance, or for those in `block`.
 
-    The oracle tests the raw costs.  cospow and linear scale the costs by
-    their maximum, after shifting them up so the minimum is 0 when it is
-    negative.  The result is a new array; `encode` builds in it.
+    The oracle tests the raw costs.  cospow and linear shift and scale them by `span`,
+    `shifted_span`'s pair, taken here when not given.  Each entry reads its own cost
+    alone, so a block has the bits of the whole table's.  The result is a new array.
     """
-    costs = instance.costs
+    costs = instance.costs[block]
     if encoder.family == "identity":
         return np.ones_like(costs)
     if encoder.family == "oracle":
         return (costs < encoder.param).astype(float)
-    low, c_max = shifted_span(encoder, instance)
+    low, c_max = span or shifted_span(encoder, instance)
     u = costs - low
     if c_max > 0:  # else every u is 0 already
         u /= c_max
@@ -151,24 +152,26 @@ def blocks(size: int):
 
 @dataclass(frozen=True, eq=False)
 class EncodedInstance:
-    """The encoded state, held as its success amplitudes `a`: the one N-array it keeps.
+    """The encoded state, held as its instance, encoder and `span`: no array of N entries.
 
     Row k of the Born grid P[k, a] = amp(k, a)^2 holds accept_k = a_k^2/N on
     ancilla 0...0 and junk_k on each of `junk_repeats` junk outcomes, which
     share (1 - a_k^2)/N equally: outcome 0...01 alone for CONCENTRATED, all
     2**n_anc - 1 nonzero ones for SPREAD.  Every other entry is 0.  `weights`
-    builds both columns for one block of rows.  `totals` are their sums as
-    numpy's pairwise `sum` takes them of a whole power-of-two column.
+    builds both columns for one block of rows from its costs and `span`.  `totals`
+    are their sums as numpy's pairwise `sum` takes them of a whole power-of-two column.
     """
 
     layout: RegisterLayout
-    a: np.ndarray = field(repr=False)
+    instance: CostInstance = field(repr=False)
+    encoder: AmplitudeEncoder
     junk_repeats: int
+    span: tuple[float, float] | None = field(init=False, repr=False)
     totals: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", read_only_view(self.a))
-        parts = [[w.sum() for w in self.weights(block)] for block in blocks(self.a.size)]
+        object.__setattr__(self, "span", shifted_span(self.encoder, self.instance))
+        parts = [[w.sum() for w in self.weights(block)] for block in blocks(self.instance.size)]
         while len(parts) > 1:  # the block sums, added in pairs as numpy halves the column
             parts = [[x + y for x, y in zip(*pair)] for pair in zip(parts[::2], parts[1::2])]
         object.__setattr__(self, "totals", tuple(float(s) for s in parts[0]))
@@ -179,8 +182,8 @@ class EncodedInstance:
     def weights(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The accept and junk weights of the rows in `block`, two new arrays on each call,
         built in place in one order whatever the block, so each has the same bits."""
-        accept, root_n = self.a[block].copy(), np.sqrt(self.layout.data_dim)  # accept: a_k^2/N
-        junk = np.square(accept)
+        accept = instance_amplitudes(self.encoder, self.instance, block, self.span)  # to a_k^2/N
+        junk, root_n = np.square(accept), np.sqrt(self.layout.data_dim)
         np.sqrt(np.clip(np.subtract(1.0, junk, out=junk), 0.0, None, out=junk), out=junk)
         junk /= root_n
         junk /= np.sqrt(self.junk_repeats)  # exact for one repeat
@@ -194,28 +197,31 @@ class EncodedInstance:
 
         A draw u = rng.random() reads ancilla 0...0 exactly when u < threshold, the first
         entry of the table `rng.choice` builds from the column sums `totals`.  The data
-        CDF renormalizes a_k^2/N, built as `weights` builds it, so its draws are those of
-        `rng.choice` too; it is None when no draw can accept.
+        CDF renormalizes a_k^2/N, built block by block into one array as `weights` builds
+        it, so its draws are those of `rng.choice` too; it is None when no draw can accept.
         """
         anc, accept_sum = np.zeros(self.layout.anc_dim), self.totals[0]
         anc[0], anc[1:1 + self.junk_repeats] = self.totals
-        data_p = np.divide(self.a, np.sqrt(self.layout.data_dim))
-        np.square(data_p, out=data_p)
-        data_cdf = _choice_cdf(np.divide(data_p, accept_sum, out=data_p)) if accept_sum > 0 else None
+        p = np.empty(self.instance.size)
+        for block in blocks(p.size):
+            p[block] = instance_amplitudes(self.encoder, self.instance, block, self.span)
+        np.square(np.divide(p, np.sqrt(self.layout.data_dim), out=p), out=p)
+        data_cdf = read_only_view(_choice_cdf(np.divide(p, accept_sum, out=p))) if accept_sum > 0 else None
         return float(_choice_cdf(anc / anc.sum())[0]), data_cdf
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The table `Generator.choice(len(p), size, p=p)` draws from, after its checks on `p`.
+    """The table `Generator.choice(len(p), size, p=p)` draws from, built in `p` after its checks.
 
-    A caller that keeps it gets the same indices from the same stream by
-    searching it with `rng.random(size)`, without rebuilding it per draw.
+    It consumes `p`, and returns it read-only.  A caller that keeps it gets the same indices
+    from the same stream by searching it with `rng.random(size)`, without rebuilding it per draw.
     """
     total = float(p.sum())
-    if math.isnan(total) or (p < 0).any() or abs(total - 1.0) > CHOICE_ATOL:
+    if math.isnan(total) or p.min() < 0 or abs(total - 1.0) > CHOICE_ATOL:
         raise ValueError("probabilities must be non-negative and sum to 1")
-    cdf = p.cumsum()
+    cdf = np.cumsum(p, out=p)
     cdf /= cdf[-1]
+    cdf.flags.writeable = False
     return cdf
 
 
@@ -267,8 +273,6 @@ def encode(
         repeats = layout.anc_dim - 1
     else:
         raise ConfigurationError(f"unknown junk policy {junk!r}")
-    a = instance_amplitudes(encoder, instance)
-    a.flags.writeable = False  # handed over, not copied
-    encoded = EncodedInstance(layout, a, repeats)
+    encoded = EncodedInstance(layout, instance, encoder, repeats)
     _last_encoding = (state, instance, encoder, junk, encoded)
     return encoded

@@ -8,8 +8,8 @@ so ``amplitudes.reshape(2**n_data, 2**n_anc)[k, a]`` is the amplitude of
 |k, a>.  Post-selection on an ancilla outcome is then a strided slice.
 
 The production path builds no dense state but the uniform one: `algorithm`
-walks the Born weights of the N success amplitudes that `encoding.encode`
-keeps.  The measurement functions here -- `marginal_*`, `postselect`,
+walks the Born weights that `encoding.encode`'s result builds block by block
+from the costs.  The measurement functions here -- `marginal_*`, `postselect`,
 `joint_distribution` -- measure a dense encoded state the long way, and the
 tests hold `algorithm` to them.  They return floats, new float arrays of
 probabilities, or new states.
@@ -49,8 +49,8 @@ def read_only_view(a: np.ndarray) -> np.ndarray:
 
     A writable `a` is copied, so the caller's array stays as it was and its
     later writes never reach the view.  A read-only `a` is kept without a
-    copy; `uniform_superposition` hands over its ancilla row so, and `encode`
-    its success amplitudes `a`.  The view's base is a read-only memoryview, so
+    copy; `uniform_superposition` hands over its ancilla row so, and the
+    sampler its data CDF.  The view's base is a read-only memoryview, so
     neither setting the view's `flags.writeable` nor writing through `.base`
     succeeds.  This guards against accidental writes only: `.base.obj` is the
     array kept, which a caller can still mark writable again.

@@ -53,7 +53,7 @@ def born_columns(instance: CostInstance, encoder: AmplitudeEncoder, junk: JunkPo
 
 def columns(encoded: EncodedInstance) -> tuple[np.ndarray, np.ndarray]:
     """The whole accept and junk columns of a production encoding, its block weights joined."""
-    parts = [encoded.weights(block) for block in blocks(encoded.a.size)]
+    parts = [encoded.weights(block) for block in blocks(encoded.instance.size)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 

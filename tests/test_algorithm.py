@@ -240,8 +240,10 @@ def test_bound_holds_for_arbitrary_success_amplitudes(case, junk):
     config = RunConfig(c_tol=0.5, encoder=IDENTITY, junk=junk, n_anc=n_anc)
     encoding._last_encoding = None
     with pytest.MonkeyPatch.context() as patch:
-        # a copy, as instance_amplitudes returns a new array: encode builds in the one it gets
-        patch.setattr(encoding, "instance_amplitudes", lambda encoder, instance: a.copy())
+        # a copy of the block, as instance_amplitudes returns a new array: `weights` builds in
+        # the one it gets
+        patch.setattr(encoding, "instance_amplitudes",
+                      lambda encoder, instance, block, span: a[block].copy())
         ana = exact_analysis(inst, config)
     assert ana.p_joint <= m / n + 1e-9
     assert ana.max_per_state_product <= 1 / n + 1e-9
@@ -530,7 +532,13 @@ def test_choice_table_draws_what_rng_choice_draws(n, size, seed, zero_share):
     p = weights / weights.sum()
     by_choice, by_table = np.random.default_rng(seed), np.random.default_rng(seed)
     want = by_choice.choice(n, size, p=p)
-    got = algorithm._draw(encoding._choice_cdf(p), by_table, size)
+    want_cdf = p.cumsum()
+    want_cdf /= want_cdf[-1]
+    cdf = encoding._choice_cdf(p)
+    assert cdf is p  # built in p itself, no second table
+    assert np.array_equal(cdf.view(np.uint64), want_cdf.view(np.uint64))
+    assert not cdf.flags.writeable
+    got = algorithm._draw(cdf, by_table, size)
     assert np.array_equal(got, want)
     assert by_table.random() == by_choice.random()  # the stream advanced alike
 

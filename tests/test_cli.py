@@ -218,23 +218,23 @@ def test_verify_exits_1_on_violated_claim(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # one dense encoding per configuration
 
-def count_amplitude_builds(monkeypatch):
-    """Count calls of encoding.instance_amplitudes: one per dense state `encode` builds."""
+def count_encodings(monkeypatch):
+    """Count the encoded instances built: one per encoding `encode` builds."""
     import postopt.encoding as encoding
 
     calls = []
-    original = encoding.instance_amplitudes
+    original = encoding.EncodedInstance.__post_init__
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(self):
+        calls.append(self.layout)
+        original(self)
 
-    monkeypatch.setattr(encoding, "instance_amplitudes", counted)
+    monkeypatch.setattr(encoding.EncodedInstance, "__post_init__", counted)
     return calls
 
 
 def test_one_verify_record_builds_one_encoding(monkeypatch):
-    calls = count_amplitude_builds(monkeypatch)
+    calls = count_encodings(monkeypatch)
     inst = generate("uniform_random", {"n_data": 5}, seed=3)
     config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2), n_anc=2)
     assert check_configuration(inst, config, "k", {})["ok"]
@@ -276,7 +276,7 @@ def test_a_sweep_holds_one_cost_table_at_a_time(monkeypatch):
 
 
 def test_postselect_compare_builds_one_encoding_for_all_repeats(tmp_path, monkeypatch):
-    calls = count_amplitude_builds(monkeypatch)
+    calls = count_encodings(monkeypatch)
     demo = write_demo(tmp_path)
     assert main(["compare", str(demo), "--c-tol", "3", "--strategy", "postselect",
                  "--repeats", "5", "--budget", "200"]) == 0
@@ -297,7 +297,7 @@ def test_postselect_compare_builds_one_pair_of_tables_for_all_repeats(tmp_path, 
 
 def test_postselect_compare_builds_each_blocks_weights_twice(tmp_path, monkeypatch):
     # once when the encoded instance sums its columns, once in the walk the exact
-    # checks share; the sampler reads those sums and the amplitudes, and no block
+    # checks share; the sampler reads those sums and builds a_k^2/N, and no weights
     import postopt.encoding as encoding
 
     built = []
@@ -312,11 +312,12 @@ def test_postselect_compare_builds_each_blocks_weights_twice(tmp_path, monkeypat
     assert len(starts) == 4 and sorted(built) == sorted([*starts, *starts])
 
 
-def test_one_verify_record_holds_one_real_grid_and_four_blocks():
-    # the amplitudes a, the encoder's endpoint mask, and O(block) temporaries: the
-    # walk holds one block's two weight columns and two temporaries, as the row
-    # sums and conditionals are built in place; the uniform state is one ancilla
-    # row, so the bound does not grow with n_anc; the table spans several blocks
+def test_one_verify_record_holds_four_blocks_and_their_masks():
+    # O(block) temporaries and no array of N entries: the walk holds one block's two
+    # weight columns and two temporaries, as the row sums and conditionals are built
+    # in place, and the block's `costs < c_tol` mask; a block's amplitudes and the
+    # encoder's endpoint mask are gone before its weights are; the uniform state is one
+    # ancilla row, so the bound does not grow with n_anc; the table spans several blocks
     inst = generate("uniform_random", {"n_data": 18}, seed=8)
     config = RunConfig(c_tol=0.3, encoder=AmplitudeEncoder.cosine_power(2),
                        junk=JunkPolicy.SPREAD, n_anc=3)
@@ -328,7 +329,25 @@ def test_one_verify_record_holds_one_real_grid_and_four_blocks():
     finally:
         tracemalloc.stop()
     assert inst.size > 4 * BLOCK
-    assert peak <= 9 * inst.size + 4 * 8 * BLOCK
+    assert peak <= 4.5 * 8 * BLOCK
+
+
+def test_a_postselect_compare_holds_one_n_array_beyond_the_table(monkeypatch):
+    # the sampler's data CDF, built block by block in one array and normalized and
+    # summed in place; the exact walk and the draws hold O(block) beside it
+    import postopt.cli as cli
+
+    inst = generate("uniform_random", {"n_data": 18}, seed=3)
+    c_tol = float(np.quantile(inst.costs, 0.001))
+    monkeypatch.setattr(cli, "load_instance", lambda path, cap: inst)  # the table, loaded untraced
+    tracemalloc.start()
+    try:
+        assert main(["compare", "table.txt", "--c-tol", repr(c_tol), "--strategy",
+                     "random,postselect", "--encoder", "cospow:8", "--repeats", "24"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * inst.size + 3 * 8 * BLOCK
 
 
 @st.composite

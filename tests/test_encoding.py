@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -164,12 +165,12 @@ def test_encoded_instance_refuses_weights_that_do_not_sum_to_one(scale, monkeypa
     inst = generate("uniform_random", {"n_data": 4}, seed=5)
     out = encode(uniform_superposition(RegisterLayout(4, 3)), inst, AmplitudeEncoder.linear(),
                  JunkPolicy.SPREAD)
-    EncodedInstance(out.layout, out.a, out.junk_repeats)
+    EncodedInstance(out.layout, out.instance, out.encoder, out.junk_repeats)
     weights = EncodedInstance.weights
     monkeypatch.setattr(EncodedInstance, "weights",
                         lambda self, block: tuple(w * scale for w in weights(self, block)))
     with pytest.raises(DomainError):
-        EncodedInstance(out.layout, out.a, out.junk_repeats)
+        EncodedInstance(out.layout, out.instance, out.encoder, out.junk_repeats)
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
@@ -190,17 +191,40 @@ def held_arrays(x) -> list:
 
 
 @pytest.mark.parametrize("junk", list(JunkPolicy))
-def test_an_encoded_instance_holds_one_n_array(junk):
-    # the amplitudes; the Born weights are built per block, and only the last block is kept
+def test_an_encoded_instance_holds_no_array_of_n_entries(junk):
+    # the amplitudes and the Born weights are built per block from the caller's costs,
+    # and no block is kept
     inst = generate("uniform_random", {"n_data": 17}, seed=1)
-    out = encode(uniform_superposition(RegisterLayout(17, 2)), inst, AmplitudeEncoder.linear(),
-                 junk)
-    for block in encoding_module.blocks(inst.size):
-        out.weights(block)
-    held = held_arrays(list(vars(out).values()))
-    big = [x for x in held if x.size >= inst.size]
-    assert len(big) == 1 and big[0] is out.a and out.a.size == inst.size
-    assert sum(x.nbytes for x in held) <= 8 * inst.size + 2 * 8 * encoding_module.BLOCK
+    state = uniform_superposition(RegisterLayout(17, 2))
+    encoding_module._last_encoding = None
+    tracemalloc.start()
+    try:
+        out = encode(state, inst, AmplitudeEncoder.linear(), junk)
+        for block in encoding_module.blocks(inst.size):
+            out.weights(block)
+        held_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.instance is inst  # shared, not copied
+    assert held_arrays(list(vars(out).values())) == []
+    assert inst.size == 4 * encoding_module.BLOCK and held_bytes <= 8 * encoding_module.BLOCK
+
+
+@pytest.mark.parametrize("n_data", [3, 15, 16, 18])
+def test_block_amplitudes_are_the_whole_table_bits(n_data):
+    # each block of a_k, built from its own costs and the encoding's one span, has the
+    # bits of the whole-table call; the top cost of cospow sits on the u >= 1 endpoint
+    inst = generate("hamming_structured", {"n_data": n_data}, seed=n_data)
+    state = uniform_superposition(RegisterLayout(n_data, 1))
+    for spec in ("identity", "oracle:4", "linear", "cospow:0.5", "cospow:2", "cospow:8"):
+        enc = AmplitudeEncoder.parse(spec)
+        out = encode(state, inst, enc)
+        whole = instance_amplitudes(enc, inst)
+        got = np.concatenate([instance_amplitudes(out.encoder, out.instance, block, out.span)
+                              for block in encoding_module.blocks(inst.size)])
+        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64)), spec
+        if enc.family == "cospow":
+            assert got[inst.costs == inst.costs.max()].max() == 0.0, spec
 
 
 @pytest.mark.parametrize("n_data", [3, 15, 16, 18])
@@ -405,23 +429,24 @@ def test_encode_drops_the_last_result_before_it_builds_the_next(monkeypatch):
     del out
     amplitudes = encoding_module.instance_amplitudes
 
-    def spy(encoder, instance):
+    def spy(*args):
         gc.collect()
         assert last() is None, "the last encoding is still held"
-        return amplitudes(encoder, instance)
+        return amplitudes(*args)
 
     monkeypatch.setattr(encoding_module, "instance_amplitudes", spy)
     encode(uniform_superposition(RegisterLayout(3, 3)), inst, AmplitudeEncoder.linear())
 
 
-@pytest.mark.parametrize("shared", ["uniform", "amplitudes", "costs"])
+@pytest.mark.parametrize("shared", ["uniform", "sampling_table", "costs"])
 def test_shared_arrays_cannot_be_made_writable_again(shared):
-    # the encoded instance shares its amplitudes; its block weights are new arrays
-    # on each call, shared with no one
+    # the encoded instance shares the caller's costs and, with every repeat, its data
+    # CDF; its amplitudes and block weights are new arrays on each call, shared with no one
     state, inst = encode_args()
     enc = AmplitudeEncoder.linear()
     out = encode(state, inst, enc)
-    arrays = {"uniform": state.amplitudes, "amplitudes": out.a, "costs": inst.costs}
+    arrays = {"uniform": state.amplitudes, "sampling_table": out.sampling_tables[1],
+              "costs": inst.costs}
     x = arrays[shared]
     before = x.copy()
     with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ def verify(monkeypatch, table, flags, target, name, mutant) -> int:
 def test_scaled_amplitudes_fail_a_check(monkeypatch, tables, n_data, delta):
     # a = 1 on the zero-cost state becomes 1 + delta: its Born row sums past 1/N
     code = verify(monkeypatch, tables[n_data], LINEAR_SPREAD, encoding, "instance_amplitudes",
-                  lambda encoder, instance: amplitudes(encoder, instance) * (1.0 + delta))
+                  lambda *args: amplitudes(*args) * (1.0 + delta))
     assert code == 1
 
 
@@ -110,14 +110,14 @@ def test_grover_amplified_data_distribution_fails_the_bound_checks(monkeypatch, 
 # valid encodings: verify must exit 0
 
 VALID = {
-    "power_0.999": (LINEAR_SPREAD, lambda encoder, instance: amplitudes(encoder, instance) ** 0.999),
-    "cospow_exponent_1.001b": (
+    "power_0.999": (LINEAR_SPREAD, lambda *args: amplitudes(*args) ** 0.999),
+    "cospow_exponent_1.001b": (  # the same span: cospow's shift and scale do not depend on b
         ["--encoder", "cospow:2", "--junk", "spread", "--n-anc", "3"],
-        lambda encoder, instance: amplitudes(AmplitudeEncoder.cosine_power(1.001 * encoder.param),
-                                             instance)),
+        lambda encoder, *args: amplitudes(AmplitudeEncoder.cosine_power(1.001 * encoder.param),
+                                          *args)),
     "swapped_columns_concentrated": (
         ["--encoder", "linear", "--junk", "concentrated", "--n-anc", "1"],
-        lambda encoder, instance: np.sqrt(1.0 - amplitudes(encoder, instance) ** 2)),
+        lambda *args: np.sqrt(1.0 - amplitudes(*args) ** 2)),
 }
 
 
@@ -139,4 +139,4 @@ def test_arbitrary_amplitudes_pass_every_check(monkeypatch, tables, n_data):
     a[rng.random(inst.size) < 0.1] = 1.0
     a[inst.costs == 0.0] = 1.0
     assert verify(monkeypatch, tables[n_data], LINEAR_SPREAD, encoding, "instance_amplitudes",
-                  lambda encoder, instance: a.copy()) == 0
+                  lambda encoder, instance, block, span: a[block].copy()) == 0
